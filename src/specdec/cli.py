@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,6 +65,20 @@ class RunConfig:
     report_path: str | None
 
 
+def _flag(decode_raw: dict, key: str, default: bool) -> bool:
+    value = decode_raw.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"decode.{key} must be true or false, got {value!r}")
+    return value
+
+
+def _cost(cost_raw: dict, key: str, default: float) -> float:
+    value = cost_raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"cost_model.{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunConfig:
     p = Path(path)
     if not p.is_file():
@@ -94,14 +109,14 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
             n_max=int(decode_raw.get("n_max", 5)),
             k_draft=int(decode_raw.get("k_draft", 7)),
             max_new_tokens=int(decode_raw.get("max_new_tokens", 128)),
-            runtime_update=bool(decode_raw.get("runtime_update", True)),
-            stop_at_eos=bool(decode_raw.get("stop_at_eos", True)),
-            fixed_level_only=bool(decode_raw.get("fixed_level_only", False)),
+            runtime_update=_flag(decode_raw, "runtime_update", True),
+            stop_at_eos=_flag(decode_raw, "stop_at_eos", True),
+            fixed_level_only=_flag(decode_raw, "fixed_level_only", False),
         ),
         cost=CostModel(
-            prefill_per_token=float(cost_raw.get("prefill_per_token", 0.002)),
-            verify_base=float(cost_raw.get("verify_base", 1.0)),
-            verify_per_token=float(cost_raw.get("verify_per_token", 0.05)),
+            prefill_per_token=_cost(cost_raw, "prefill_per_token", 0.002),
+            verify_base=_cost(cost_raw, "verify_base", 1.0),
+            verify_per_token=_cost(cost_raw, "verify_per_token", 0.05),
         ),
         trace_path=raw.get("trace_path"),
         report_path=raw.get("report_path"),

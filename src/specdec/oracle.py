@@ -3,9 +3,12 @@
 An oracle owns a cache of consumed tokens. `extend(tokens)` consumes the
 batch and returns one greedy prediction per consumed position; for the same
 total consumed prefix the predictions are identical no matter how the
-prefix was chunked into calls. Built-in oracles also support
-`truncate_cache(length)` so a decoder can roll back rejected draft tokens
-in O(1); oracles without it are rolled back by reset-and-replay.
+prefix was chunked into calls. Every oracle here also supports
+`truncate_cache(length)`, so a decoder can roll back rejected draft tokens
+without replaying the committed prefix: in-process oracles in O(1),
+`ExternalOracle` by sending the position with its next `extend` (or by
+reset-and-replay against a server that does not take one). Oracles without
+`truncate_cache` are rolled back by the decoder with reset-and-replay.
 """
 
 from __future__ import annotations
@@ -199,8 +202,12 @@ class MarkovOracle:
 class ExternalOracle:
     """Client for the newline-delimited JSON oracle protocol.
 
-    One request in flight per connection. Offers no cache truncation, so
-    decoders roll it back via reset-and-replay.
+    One request in flight per connection. `truncate_cache` sends nothing:
+    it records the position, and the next `extend` carries it as `"at"`, so
+    the server truncates and extends in one round trip; a bad position
+    shows up as an error of that `extend`. Against a server whose `info`
+    does not advertise `at`, the client keeps the tokens it has sent and
+    truncates by reset-and-replay of them.
     """
 
     def __init__(self, endpoint: str, *, timeout: float = 10.0) -> None:
@@ -214,6 +221,7 @@ class ExternalOracle:
         self._file = self._sock.makefile("rwb")
         self.endpoint = endpoint
         self._consumed = 0
+        self._at: int | None = None  # truncation the next extend carries
         info = self._request({"op": "info"})
         try:
             self.vocab_size = int(info["vocab_size"])
@@ -221,6 +229,8 @@ class ExternalOracle:
         except (KeyError, TypeError, ValueError) as exc:
             raise OracleProtocolError(f"bad info reply: {info!r}") from exc
         self.eos = None if eos < 0 else eos
+        # Tokens the server has consumed, kept only for reset-and-replay.
+        self._sent: list[int] | None = None if info.get("at") is True else []
 
     @property
     def consumed_len(self) -> int:
@@ -251,18 +261,39 @@ class ExternalOracle:
 
     def extend(self, tokens: list[int]) -> list[int]:
         _check_batch(tokens)
-        reply = self._request({"op": "extend", "tokens": list(tokens)})
+        request = {"op": "extend", "tokens": list(tokens)}
+        if self._at is not None:
+            request["at"] = self._at
+        reply = self._request(request)
         preds = reply.get("predictions")
         if not isinstance(preds, list) or len(preds) != len(tokens) or not all(
             isinstance(p, int) for p in preds
         ):
             raise OracleProtocolError(f"bad predictions for batch of {len(tokens)}: {preds!r}")
+        self._at = None
         self._consumed += len(tokens)
+        if self._sent is not None:
+            self._sent.extend(tokens)
         return preds
 
     def reset(self) -> None:
         self._request({"op": "reset"})
         self._consumed = 0
+        self._at = None
+        if self._sent is not None:
+            self._sent.clear()
+
+    def truncate_cache(self, length: int) -> None:
+        if not (0 <= length <= self._consumed):
+            raise ValueError(f"cannot truncate cache of {self._consumed} to {length}")
+        if self._sent is None:
+            self._at = length
+            self._consumed = length
+        elif length < self._consumed:
+            replay = self._sent[:length]
+            self.reset()
+            if replay:
+                self.extend(replay)
 
     def close(self) -> None:
         try:

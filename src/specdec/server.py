@@ -3,7 +3,13 @@
 Each connection gets its own oracle instance from the factory; connections
 never share cache state. Requests are handled strictly in order, one reply
 line per request line. Malformed requests get an error reply and the
-connection stays open.
+connection stays open; a request line longer than MAX_LINE_BYTES gets an
+error reply and the connection is closed.
+
+When the served oracle has `truncate_cache`, `info` says `"at": true` and an
+`extend` may carry `"at": L`: the oracle is truncated to L consumed tokens
+and then extended, so a client rolls back a rejected draft in the same
+round trip that verifies the next one.
 """
 
 from __future__ import annotations
@@ -16,10 +22,22 @@ from typing import Callable
 
 log = logging.getLogger("specdec.server")
 
-__all__ = ["OracleServer"]
+__all__ = ["OracleServer", "MAX_LINE_BYTES"]
 
 
-def _handle_request(oracle, payload: bytes) -> dict:
+# The largest request an in-repo client sends is a whole committed prefix
+# (prompt + output) in one `extend`: ExternalOracle's reset-and-replay
+# rollback against a server without `at`. The benchmark's TCP decode sends
+# up to 1,600 ids, the bundled demo config run against a served oracle up to
+# 1,800. An id of up to 7 digits plus its ", " separator takes at most 9
+# bytes, so 1 MiB holds over 116,000 ids, some 60 times the largest.
+MAX_LINE_BYTES = 1 << 20
+
+
+def _handle_request(oracle, payload: bytes, vocab_size: int, truncate) -> dict:
+    """One reply to one request line; `vocab_size` and `truncate` (the
+    oracle's `truncate_cache`, or None) are read from the oracle once per
+    connection, as a wrapped oracle forwards each lookup at some cost."""
     try:
         req = json.loads(payload)
     except json.JSONDecodeError as exc:
@@ -30,19 +48,37 @@ def _handle_request(oracle, payload: bytes) -> dict:
     try:
         if op == "extend":
             tokens = req.get("tokens")
+            # type(), not isinstance(): JSON true and false load as bools, which are ints
             if (
                 not isinstance(tokens, list)
                 or not tokens
-                or not all(isinstance(t, int) and t >= 0 for t in tokens)
+                or not all(type(t) is int and 0 <= t < vocab_size for t in tokens)
             ):
-                return {"ok": False, "error": "extend needs a non-empty list of token ids"}
+                return {
+                    "ok": False,
+                    "error": f"extend needs a non-empty list of token ids in [0, {vocab_size})",
+                }
+            at = req.get("at")
+            if at is not None:
+                if truncate is None:
+                    return {"ok": False, "error": "this oracle does not support 'at'"}
+                consumed = oracle.consumed_len
+                if type(at) is not int or not 0 <= at <= consumed:
+                    return {
+                        "ok": False,
+                        "error": f"'at' must be an int in [0, {consumed}], got {at!r}",
+                    }
+                truncate(at)
             return {"ok": True, "predictions": oracle.extend(tokens)}
         if op == "reset":
             oracle.reset()
             return {"ok": True}
         if op == "info":
             eos = oracle.eos if oracle.eos is not None else -1
-            return {"ok": True, "vocab_size": oracle.vocab_size, "eos": eos}
+            reply = {"ok": True, "vocab_size": vocab_size, "eos": eos}
+            if truncate is not None:
+                reply["at"] = True
+            return reply
         return {"ok": False, "error": f"unknown op {op!r}"}
     except Exception as exc:  # noqa: BLE001 - report, keep the connection alive
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
@@ -52,13 +88,19 @@ class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         oracle = self.server.oracle_factory()  # type: ignore[attr-defined]
         log.info("connection from %s:%s", *self.client_address)
+        vocab_size, truncate = oracle.vocab_size, getattr(oracle, "truncate_cache", None)
         while True:
-            line = self.rfile.readline()
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
             if not line:
                 break
-            reply = _handle_request(oracle, line)
-            self.wfile.write(json.dumps(reply).encode("utf-8") + b"\n")
-            self.wfile.flush()
+            if len(line) > MAX_LINE_BYTES:
+                self._reply({"ok": False, "error": f"request line over {MAX_LINE_BYTES} bytes"})
+                break
+            self._reply(_handle_request(oracle, line, vocab_size, truncate))
+
+    def _reply(self, reply: dict) -> None:
+        self.wfile.write(json.dumps(reply).encode("utf-8") + b"\n")
+        self.wfile.flush()
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):

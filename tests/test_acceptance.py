@@ -31,6 +31,8 @@ from specdec import (
 )
 from specdec.bundled import bundled_bytes
 
+from conftest import WithoutTruncation
+
 FLAT = CostModel(prefill_per_token=0.0, verify_base=1.0, verify_per_token=0.0)
 
 
@@ -232,21 +234,31 @@ def test_criterion_8_speedup_plateau():
 def test_criterion_9_wire_protocol_differential():
     with criterion(9, "served oracle matches in-process oracle"):
         corpus = [i % 13 for i in range(400)]
-        server = OracleServer(lambda: MarkovOracle(corpus, order=2, seed=17))
-        server.start_background()
-        try:
-            remote = ExternalOracle(server.address)
-            local = MarkovOracle(corpus, order=2, seed=17)
-            rng = random.Random(99)
-            for script in range(100):
-                for _ in range(rng.randint(1, 8)):
-                    if rng.random() < 0.2:
-                        remote.reset()
-                        local.reset()
-                    else:
-                        batch = [rng.randrange(13) for _ in range(rng.randint(1, 6))]
-                        assert remote.extend(batch) == local.extend(batch)
-                assert remote.consumed_len == local.consumed_len
-            remote.close()
-        finally:
-            server.shutdown()
+        make = lambda: MarkovOracle(corpus, order=2, seed=17)  # noqa: E731
+        # An oracle with truncate_cache is served with `at`; one without it
+        # makes the client roll back by reset-and-replay.
+        for factory, positioned in ((make, True), (lambda: WithoutTruncation(make()), False)):
+            server = OracleServer(factory)
+            server.start_background()
+            try:
+                remote = ExternalOracle(server.address)
+                assert remote._request({"op": "info"}).get("at", False) is positioned
+                local = make()
+                rng = random.Random(99)
+                for script in range(100):
+                    for _ in range(rng.randint(1, 10)):
+                        roll = rng.random()
+                        if roll < 0.15:
+                            remote.reset()
+                            local.reset()
+                        elif roll < 0.45:
+                            length = rng.randint(0, local.consumed_len)
+                            remote.truncate_cache(length)
+                            local.truncate_cache(length)
+                        else:
+                            batch = [rng.randrange(13) for _ in range(rng.randint(1, 6))]
+                            assert remote.extend(batch) == local.extend(batch)
+                        assert remote.consumed_len == local.consumed_len
+                remote.close()
+            finally:
+                server.shutdown()

@@ -78,6 +78,27 @@ def test_run_missing_config_exits_1(capsys):
     assert "exist.json" in err
 
 
+@pytest.mark.parametrize("key", ["runtime_update", "stop_at_eos", "fixed_level_only"])
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_run_non_bool_flag_exits_1(tmp_path, capsys, key, value):
+    cfg = tmp_path / "flag.json"
+    cfg.write_text(json.dumps({"corpus": "bundled:repetitive.txt", "decode": {key: value}}))
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 1
+    assert f"decode.{key}" in err
+
+
+@pytest.mark.parametrize("key", ["prefill_per_token", "verify_base", "verify_per_token"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.5", True])
+def test_run_bad_cost_exits_1(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cost.json"
+    # json.dumps writes NaN and Infinity, which json.loads reads back
+    cfg.write_text(json.dumps({"corpus": "bundled:repetitive.txt", "cost_model": {key: value}}))
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 1
+    assert f"cost_model.{key}" in err
+
+
 def test_run_losslessness_violation_exits_2(monkeypatch, capsys):
     import specdec.cli as cli_mod
 

@@ -3,6 +3,8 @@ import socket
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specdec.oracle import (
     ExternalOracle,
@@ -13,7 +15,12 @@ from specdec.oracle import (
     OracleTransportError,
     ReplayOracle,
 )
-from specdec.server import OracleServer
+from specdec.bundled import bundled_bytes
+from specdec.decoding import DecodeOptions, speculative_decode
+from specdec.server import MAX_LINE_BYTES, OracleServer, _handle_request
+from specdec.tokenizer import byte_vocab, encode
+
+from conftest import WithoutTruncation
 
 
 @pytest.fixture
@@ -40,7 +47,21 @@ def raw_exchange(address, lines):
 def test_info_reports_vocab_and_eos(markov_server):
     server, corpus = markov_server
     replies = raw_exchange(server.address, [b'{"op":"info"}'])
-    assert replies[0] == {"ok": True, "vocab_size": max(corpus) + 1, "eos": -1}
+    assert replies[0] == {"ok": True, "vocab_size": max(corpus) + 1, "eos": -1, "at": True}
+
+
+def test_info_omits_at_for_an_oracle_without_truncation():
+    corpus = [i % 7 for i in range(50)]
+    server = OracleServer(lambda: WithoutTruncation(MarkovOracle(corpus, order=2, seed=5)))
+    server.start_background()
+    try:
+        replies = raw_exchange(
+            server.address, [b'{"op":"info"}', b'{"op":"extend","tokens":[1],"at":0}']
+        )
+    finally:
+        server.shutdown()
+    assert replies[0] == {"ok": True, "vocab_size": 7, "eos": -1}
+    assert replies[1]["ok"] is False and "'at'" in replies[1]["error"]
 
 
 def test_extend_reset_round_trip_matches_in_process(markov_server):
@@ -187,3 +208,209 @@ def test_server_side_oracle_error_is_reported(markov_server):
         # negative ids are rejected by request validation server-side
         remote._request({"op": "extend", "tokens": [-1]})
     remote.close()
+
+
+def test_bad_token_ids_are_rejected_and_connection_stays_open(markov_server):
+    server, corpus = markov_server
+    replies = raw_exchange(
+        server.address,
+        [
+            b'{"op":"extend","tokens":[true]}',
+            b'{"op":"extend","tokens":[1,false]}',
+            b'{"op":"extend","tokens":[7]}',  # vocab_size is 7
+            b'{"op":"extend","tokens":[1.0]}',
+            b'{"op":"extend","tokens":[1,2]}',
+        ],
+    )
+    assert [r["ok"] for r in replies] == [False, False, False, False, True]
+    assert "[0, 7)" in replies[2]["error"]
+    # the rejected requests consumed nothing
+    assert replies[4]["predictions"] == MarkovOracle(corpus, order=2, seed=5).extend([1, 2])
+
+
+def test_bad_at_is_rejected_and_leaves_the_cache_alone(markov_server):
+    server, corpus = markov_server
+    bad = [b"true", b"1.0", b'"1"', b"-1", b"4", b"[1]"]  # 3 tokens consumed
+    replies = raw_exchange(
+        server.address,
+        [b'{"op":"extend","tokens":[1,2,3]}']
+        + [b'{"op":"extend","tokens":[4],"at":' + at + b"}" for at in bad]
+        + [b'{"op":"extend","tokens":[4],"at":3}', b'{"op":"extend","tokens":[5],"at":1}'],
+    )
+    assert [r["ok"] for r in replies[1:-2]] == [False] * len(bad)
+    local = MarkovOracle(corpus, order=2, seed=5)
+    local.extend([1, 2, 3])
+    assert replies[-2]["predictions"] == local.extend([4])
+    local.truncate_cache(1)
+    assert replies[-1]["predictions"] == local.extend([5])
+
+
+def test_over_long_request_line_is_refused_and_connection_closed(markov_server):
+    server, _ = markov_server
+    host, port = server.address.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        f = sock.makefile("rwb")
+        # a line exactly at the limit is still served
+        line = b'{"op":"info"}'
+        f.write(line + b" " * (MAX_LINE_BYTES - len(line) - 1) + b"\n")
+        f.flush()
+        assert json.loads(f.readline())["ok"] is True
+        f.write(b" " * MAX_LINE_BYTES + b"\n")
+        f.flush()
+        reply = json.loads(f.readline())
+        assert reply["ok"] is False and "over" in reply["error"]
+        assert f.readline() == b""  # closed
+
+
+def test_truncate_cache_is_checked_locally_and_sent_lazily(markov_server):
+    server, corpus = markov_server
+    remote = ExternalOracle(server.address)
+    local = MarkovOracle(corpus, order=2, seed=5)
+    remote.extend([1, 2, 3])
+    local.extend([1, 2, 3])
+    with pytest.raises(ValueError):
+        remote.truncate_cache(4)
+    with pytest.raises(ValueError):
+        remote.truncate_cache(-1)
+    remote.truncate_cache(2)
+    remote.truncate_cache(1)  # the later position wins
+    assert remote.consumed_len == 1
+    local.truncate_cache(1)
+    assert remote.extend([6, 0]) == local.extend([6, 0])
+    remote.truncate_cache(0)
+    remote.reset()  # a reset drops the pending position
+    assert remote.extend([2]) == MarkovOracle(corpus, order=2, seed=5).extend([2])
+    remote.close()
+
+
+class _CountingOracle:
+    """Counts the extend and reset requests a served oracle receives."""
+
+    def __init__(self, inner, counts) -> None:
+        self._inner = inner
+        self._counts = counts
+
+    def extend(self, tokens):
+        self._counts["extend"] += 1
+        return self._inner.extend(tokens)
+
+    def reset(self):
+        self._counts["reset"] += 1
+        self._inner.reset()
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.mark.parametrize("positioned", [True, False], ids=["at", "reset-replay"])
+def test_speculative_decode_over_tcp_matches_in_process(positioned):
+    vocab = byte_vocab()
+    ids = encode(bundled_bytes("shuffled.txt"), vocab, "byte")
+    prompt, target = ids[:300], ids[300:]
+    opts = DecodeOptions(n_max=5, k_draft=7, max_new_tokens=400)
+    for make in (
+        lambda: ReplayOracle(prompt, target, vocab.eos),
+        lambda: MarkovOracle(ids, order=3, seed=11),
+    ):
+        counts = {"extend": 0, "reset": 0}
+        served = lambda: _CountingOracle(make(), counts)  # noqa: E731
+        server = OracleServer(served if positioned else lambda: WithoutTruncation(served()))
+        server.start_background()
+        try:
+            remote = ExternalOracle(server.address)
+            over_tcp = speculative_decode(remote, prompt, opts)
+            remote.close()
+        finally:
+            server.shutdown()
+        in_process = speculative_decode(make(), prompt, opts)
+        assert over_tcp.output == in_process.output
+        assert over_tcp.steps == in_process.steps
+        assert over_tcp.totals == in_process.totals
+        assert over_tcp.prefill_sim_time == in_process.prefill_sim_time
+        rollbacks = sum(1 for s in in_process.steps if s.accepted_count < len(s.drafted))
+        assert rollbacks > 0
+        if positioned:
+            # one request per model call: rollbacks ride on the next extend
+            assert counts == {"extend": in_process.totals.llm_calls, "reset": 1}
+        else:
+            assert counts["reset"] > 1
+            assert counts["extend"] > in_process.totals.llm_calls
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("extend"), st.lists(st.integers(0, 6), min_size=1, max_size=5)),
+        st.tuples(st.just("truncate"), st.integers(0, 1_000)),
+        st.tuples(st.just("reset"), st.none()),
+    ),
+    max_size=25,
+)
+
+
+@pytest.fixture(scope="module")
+def both_servers():
+    corpus = [i % 7 for i in range(50)]
+    make = lambda: MarkovOracle(corpus, order=2, seed=5)  # noqa: E731
+    servers = [OracleServer(make), OracleServer(lambda: WithoutTruncation(make()))]
+    for server in servers:
+        server.start_background()
+    yield make, servers
+    for server in servers:
+        server.shutdown()
+
+
+@settings(max_examples=60, deadline=None)
+@given(script=_OPS)
+def test_extend_truncate_reset_scripts_match_in_process(both_servers, script):
+    make, servers = both_servers
+    for server in servers:
+        remote = ExternalOracle(server.address)
+        local = make()
+        try:
+            for op, arg in script:
+                if op == "extend":
+                    assert remote.extend(arg) == local.extend(arg)
+                elif op == "reset":
+                    remote.reset()
+                    local.reset()
+                else:
+                    # one past the end is out of range for both
+                    length = arg % (local.consumed_len + 2)
+                    if length > local.consumed_len:
+                        with pytest.raises(ValueError):
+                            remote.truncate_cache(length)
+                    else:
+                        remote.truncate_cache(length)
+                        local.truncate_cache(length)
+                assert remote.consumed_len == local.consumed_len
+        finally:
+            remote.close()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10) | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    request=st.fixed_dictionaries(
+        {"op": st.sampled_from(["extend", "reset", "info", "truncate"]) | _JSON},
+        optional={"tokens": _JSON | st.lists(st.integers(-2, 9), max_size=4), "at": _JSON},
+    )
+)
+def test_handle_request_answers_every_request(request):
+    corpus = [i % 7 for i in range(50)]
+    oracle = MarkovOracle(corpus, order=2, seed=5)
+    oracle.extend([1, 2, 3])
+    reply = _handle_request(oracle, json.dumps(request).encode(), 7, oracle.truncate_cache)
+    assert isinstance(reply["ok"], bool)
+    json.dumps(reply)  # every reply can be sent
+    if not reply["ok"]:
+        assert isinstance(reply["error"], str)
+        assert oracle.consumed_len == 3  # a refused request changes nothing
+    elif request["op"] == "extend":
+        assert all(0 <= p < 7 for p in reply["predictions"])
