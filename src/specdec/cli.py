@@ -79,6 +79,31 @@ def _cost(cost_raw: dict, key: str, default: float) -> float:
     return float(value)
 
 
+# The keys a config may hold, at the top level ("") and in each nested object.
+_CONFIG_KEYS = {
+    "": "seed corpus prompt_tokens tokenizer oracle decode cost_model trace_path report_path",
+    "decode": "n_max k_draft max_new_tokens runtime_update stop_at_eos fixed_level_only",
+    "oracle": "kind order endpoint",
+    "tokenizer": "mode vocab_path train_size",
+    "cost_model": "prefill_per_token verify_base verify_per_token",
+}
+
+
+def _sections(raw: dict) -> list[dict]:
+    # the nested objects of a config, in _CONFIG_KEYS order, once all its keys are known
+    objs = []
+    for section, known in _CONFIG_KEYS.items():
+        obj = raw.get(section, {}) if section else raw
+        if not isinstance(obj, dict):
+            raise ConfigError(f"config key {section!r} must be a JSON object")
+        unknown = sorted(set(obj) - set(known.split()))
+        if unknown:
+            where = f"{section}." if section else ""
+            raise ConfigError("unknown config key " + ", ".join(where + k for k in unknown))
+        objs.append(obj)
+    return objs[1:]
+
+
 def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunConfig:
     p = Path(path)
     if not p.is_file():
@@ -89,11 +114,7 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-
-    decode_raw = dict(raw.get("decode", {}))
-    oracle_raw = dict(raw.get("oracle", {"kind": "replay"}))
-    tok_raw = dict(raw.get("tokenizer", {"mode": "byte"}))
-    cost_raw = dict(raw.get("cost_model", {}))
+    decode_raw, oracle_raw, tok_raw, cost_raw = _sections(raw)
 
     cfg = RunConfig(
         seed=int(raw.get("seed", 0)),
@@ -130,22 +151,18 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
         raise ConfigError(f"vocab file not found: {cfg.vocab_path}")
 
     if overrides is not None:
-        if getattr(overrides, "n", None) is not None:
-            cfg.decode.n_max = overrides.n
-        if getattr(overrides, "k", None) is not None:
-            cfg.decode.k_draft = overrides.k
-        if getattr(overrides, "max_new_tokens", None) is not None:
-            cfg.decode.max_new_tokens = overrides.max_new_tokens
-        if getattr(overrides, "seed", None) is not None:
-            cfg.seed = overrides.seed
-        if getattr(overrides, "no_runtime_update", False):
+        given = vars(overrides)
+        for key, obj, attr in (
+            ("n", cfg.decode, "n_max"), ("k", cfg.decode, "k_draft"),
+            ("max_new_tokens", cfg.decode, "max_new_tokens"), ("seed", cfg, "seed"),
+            ("trace", cfg, "trace_path"), ("report", cfg, "report_path"),
+        ):
+            if given.get(key) is not None:
+                setattr(obj, attr, given[key])
+        if given.get("no_runtime_update"):
             cfg.decode.runtime_update = False
-        if getattr(overrides, "fixed_level_only", False):
+        if given.get("fixed_level_only"):
             cfg.decode.fixed_level_only = True
-        if getattr(overrides, "trace", None) is not None:
-            cfg.trace_path = overrides.trace
-        if getattr(overrides, "report", None) is not None:
-            cfg.report_path = overrides.report
     return cfg
 
 

@@ -149,19 +149,7 @@ def build_draft(
     at every level truncates the draft. Pure with respect to the store."""
     if k_draft < 1:
         raise ValueError(f"k_draft must be >= 1, got {k_draft}")
-    min_level = store.n_max if fixed_level_only else 2
-    window = store.n_max - 1
-    working = list(committed_tail[-window:])
-    draft: list[int] = []
-    levels: list[int] = []
-    for _ in range(k_draft):
-        hit = store.query_multilevel(working[-window:], min_level=min_level)
-        if hit is None:
-            break
-        draft.append(hit.token)
-        levels.append(hit.level)
-        working.append(hit.token)
-    return draft, levels
+    return store.draft(committed_tail, k_draft, min_level=store.n_max if fixed_level_only else 2)
 
 
 def verify_step(oracle, carried: int, drafted: list[int]) -> tuple[int, int, list[int]]:
@@ -225,14 +213,11 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
         if _is_eos(oracle, carried, options):
             steps.append(StepRecord(len(steps), [], [], 0, [carried], 0, 0.0))
             break
-        budget = options.max_new_tokens - len(output)
-        k_use = min(options.k_draft, budget)
-        if k_use > 0:
-            drafted, levels = build_draft(
-                store, store.committed, k_use, fixed_level_only=options.fixed_level_only
-            )
-        else:
-            drafted, levels = [], []
+        k_use = min(options.k_draft, options.max_new_tokens - len(output))  # remaining budget
+        drafted, levels = (
+            build_draft(store, store.committed, k_use, fixed_level_only=options.fixed_level_only)
+            if k_use > 0 else ([], [])
+        )
         _align_oracle(oracle, store.committed, len(store.committed) - 1)
         try:
             accepted, next_carried, _ = verify_step(oracle, carried, drafted)
@@ -242,16 +227,14 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
         totals.proposed_draft_tokens += len(drafted)
         step_committed = [carried]
         eos_hit = False
-        committed_accepted = 0
-        for j in range(accepted):
-            tok = drafted[j]
+        for tok in drafted[:accepted]:
             output.append(tok)
             store.update(tok)
             step_committed.append(tok)
-            committed_accepted += 1
             if _is_eos(oracle, tok, options):
                 eos_hit = True
                 break
+        committed_accepted = len(step_committed) - 1
         totals.accepted_draft_tokens += committed_accepted
         batch_len = 1 + len(drafted)
         steps.append(

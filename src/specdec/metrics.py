@@ -163,10 +163,11 @@ def sweep(
     *,
     fixed_level_only: bool = False,
 ) -> SweepTable:
-    """Run both decoders for every (n, k) grid point and prompt; cell values
-    are arithmetic means across prompts. Per-run failures are recorded in
-    the row and do not abort the sweep. Rows are ordered n then k ascending;
-    cells are independent, so completion order can never change the table.
+    """Run the accelerated decoder for every (n, k) grid point and prompt
+    against one baseline decode per prompt; cell values are arithmetic
+    means across prompts. Per-run failures are recorded in the row and do
+    not abort the sweep. Rows are ordered n then k ascending; cells are
+    independent, so completion order can never change the table.
     """
     if not n_grid or not k_grid:
         raise ValueError("n_grid and k_grid must be non-empty")
@@ -177,34 +178,36 @@ def sweep(
     if not prompt_set:
         raise ValueError("prompt_set must be non-empty")
     cm = cost_model or DEFAULT_COST_MODEL
+    base_opts = replace(options, n_max=min(n_grid), k_draft=min(k_grid))
+    bases: list[DecodeResult | str] = []
+    for idx, prompt in enumerate(prompt_set):
+        try:
+            bases.append(baseline_decode(make_oracle(oracle_spec), list(prompt), base_opts, cm))
+        except Exception as exc:  # noqa: BLE001 - recorded in every cell
+            bases.append(f"prompt {idx}: {type(exc).__name__}: {exc}")
     rows: list[SweepRow] = []
     for n in sorted(set(n_grid)):
         for k in sorted(set(k_grid)):
             opts = replace(options, n_max=n, k_draft=k, fixed_level_only=fixed_level_only)
             metrics: list[RunMetrics] = []
             errors: list[str] = []
-            for idx, prompt in enumerate(prompt_set):
+            for idx, (prompt, base) in enumerate(zip(prompt_set, bases)):
+                if isinstance(base, str):
+                    errors.append(base)
+                    continue
                 try:
-                    base = baseline_decode(make_oracle(oracle_spec), list(prompt), opts, cm)
                     accel = speculative_decode(make_oracle(oracle_spec), list(prompt), opts, cm)
                     metrics.append(compute_metrics(accel, base, cm))
                 except Exception as exc:  # noqa: BLE001 - recorded per cell
                     errors.append(f"prompt {idx}: {type(exc).__name__}: {exc}")
-            def mean(vals: list[float]) -> float:
+            def mean(name: str) -> float:
+                vals = [getattr(m, name) for m in metrics]
                 return sum(vals) / len(vals) if vals else float("nan")
-            rows.append(
-                SweepRow(
-                    n=n,
-                    k=k,
-                    alpha=mean([m.alpha for m in metrics]),
-                    mean_committed=mean([m.mean_committed_per_step for m in metrics]),
-                    speedup_sim=mean([m.speedup_sim for m in metrics]),
-                    bound=mean([m.theoretical_bound for m in metrics]),
-                    steps=mean([float(m.steps) for m in metrics]),
-                    output_len=mean([float(m.output_len) for m in metrics]),
-                    errors=errors,
-                )
-            )
+            rows.append(SweepRow(
+                n=n, k=k, alpha=mean("alpha"), mean_committed=mean("mean_committed_per_step"),
+                speedup_sim=mean("speedup_sim"), bound=mean("theoretical_bound"),
+                steps=mean("steps"), output_len=mean("output_len"), errors=errors,
+            ))
     config = {
         "oracle": oracle_spec.to_json(),
         "cost_model": cm.to_json(),

@@ -1,13 +1,21 @@
 """Token-level n-gram count tables with highest-order-first fallback lookup.
 
-A store keeps one count table per order in [2, n_max]. Counts are raw window
-frequencies over the committed token sequence; queries return the count
-argmax (ties: most recently reinforced, then smallest token id). No
-smoothing or probability output: only the argmax is ever consumed.
+A store counts every window of orders 2..n_max over the committed token
+sequence. Queries return the count argmax, ties going to the most recently
+reinforced token; there is no smoothing or probability output.
+
+Rows map a context (n-1 tokens, so its length names the order) to {next:
+count}, and a second dict maps it to its argmax, kept in O(1) per counted
+window: the bumped token is the most recently reinforced one, so it becomes
+the argmax exactly when its new count is >= the argmax's count. `snapshot`
+derives each entry's `ordinal` (the number of the window that last
+reinforced it, counting windows from 1 by position, then by order) from
+the entry's last position in the counted prefix.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 __all__ = ["QueryHit", "NgramStore"]
@@ -25,35 +33,22 @@ class NgramStore:
 
     `committed` always holds every token fed via the constructor or
     `update`. With `runtime_update=False` updates append to `committed`
-    but leave all counts frozen at their post-construction state.
+    but leave all counts frozen at their post-construction state;
+    `runtime_update` is fixed for the life of the store.
     """
 
-    def __init__(
-        self,
-        token_ids: list[int],
-        n_max: int,
-        *,
-        runtime_update: bool = True,
-        max_contexts: int | None = None,
-    ) -> None:
+    def __init__(self, token_ids: list[int], n_max: int, *, runtime_update: bool = True) -> None:
         if n_max < 2:
             raise ValueError(f"n_max must be >= 2, got {n_max}")
-        if max_contexts is not None and max_contexts < 1:
-            raise ValueError("max_contexts must be positive when set")
         self.n_max = n_max
         self.runtime_update = runtime_update
-        self.max_contexts = max_contexts
         self.committed: list[int] = []
-        self._ordinal = 0
-        # per order: context tuple -> {next token -> [count, last ordinal]}
-        self._tables: dict[int, dict[tuple[int, ...], dict[int, list[int]]]] = {
-            n: {} for n in range(2, n_max + 1)
-        }
-        # per order: context tuple -> last ordinal that touched it (for eviction)
-        self._touch: dict[int, dict[tuple[int, ...], int]] = {n: {} for n in range(2, n_max + 1)}
+        self._rows: dict[tuple[int, ...], dict[int, int]] = {}
+        self._best: dict[tuple[int, ...], int] = {}
         for tok in token_ids:
             self.committed.append(tok)
             self._count_windows_at_tail()
+        self._init_len = len(self.committed)
 
     def update(self, token: int) -> None:
         self.committed.append(token)
@@ -61,33 +56,20 @@ class NgramStore:
             self._count_windows_at_tail()
 
     def _count_windows_at_tail(self) -> None:
-        length = len(self.committed)
-        for n in range(2, self.n_max + 1):
-            if length >= n:
-                ctx = tuple(self.committed[length - n : length - 1])
-                self._bump(n, ctx, self.committed[-1])
-
-    def _bump(self, n: int, ctx: tuple[int, ...], nxt: int) -> None:
-        self._ordinal += 1
-        table = self._tables[n]
-        row = table.get(ctx)
-        if row is None:
-            row = table[ctx] = {}
-            if self.max_contexts is not None and len(table) > self.max_contexts:
-                self._evict(n, keep=ctx)
-        rec = row.get(nxt)
-        if rec is None:
-            row[nxt] = [1, self._ordinal]
-        else:
-            rec[0] += 1
-            rec[1] = self._ordinal
-        self._touch[n][ctx] = self._ordinal
-
-    def _evict(self, n: int, keep: tuple[int, ...]) -> None:
-        touch = self._touch[n]
-        victim = min((c for c in self._tables[n] if c != keep), key=lambda c: touch.get(c, 0))
-        del self._tables[n][victim]
-        touch.pop(victim, None)
+        nxt = self.committed[-1]
+        window = tuple(self.committed[-self.n_max : -1])
+        rows, best = self._rows, self._best
+        for i in range(len(window)):
+            ctx = window[i:]
+            row = rows.get(ctx)
+            if row is None:
+                rows[ctx] = {nxt: 1}
+                best[ctx] = nxt
+            else:
+                count = row[nxt] = row.get(nxt, 0) + 1
+                top = best[ctx]
+                if top != nxt and count >= row[top]:
+                    best[ctx] = nxt
 
     def query(self, context: list[int] | tuple[int, ...], n: int) -> int | None:
         """Count-argmax next token for the last n-1 tokens of `context`, or
@@ -100,52 +82,67 @@ class NgramStore:
             raise ValueError(f"query order {n} outside [2, {self.n_max}]")
         if len(context) < n - 1:
             raise ValueError(f"context of length {len(context)} too short for order {n}")
-        row = self._tables[n].get(tuple(context[len(context) - (n - 1) :]))
-        if not row:
-            return None
-        best_tok = -1
-        best_key: tuple[int, int, int] | None = None
-        for tok, (count, ordinal) in row.items():
-            key = (count, ordinal, -tok)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_tok = tok
-        assert best_key is not None
-        return QueryHit(token=best_tok, level=n, count=best_key[0])
+        ctx = tuple(context[len(context) - (n - 1) :])
+        tok = self._best.get(ctx)
+        return None if tok is None else QueryHit(token=tok, level=n, count=self._rows[ctx][tok])
 
     def query_multilevel(
         self, context_tail: list[int] | tuple[int, ...], *, min_level: int = 2
     ) -> QueryHit | None:
         """Try orders n_max down to `min_level`, skipping orders that need
         more history than `context_tail` offers; first hit wins."""
-        for n in range(self.n_max, min_level - 1, -1):
-            if len(context_tail) >= n - 1:
-                hit = self._query_hit(context_tail, n)
-                if hit is not None:
-                    return hit
+        for n in range(min(self.n_max, len(context_tail) + 1), min_level - 1, -1):
+            hit = self._query_hit(context_tail, n)
+            if hit is not None:
+                return hit
         return None
+
+    def draft(
+        self, tail: list[int] | tuple[int, ...], k: int, *, min_level: int = 2
+    ) -> tuple[list[int], list[int]]:
+        """Chain up to k `query_multilevel` lookups (min_level >= 2) over the
+        last n_max-1 tokens of `tail` plus the tokens drafted so far, stopping
+        at the first miss; returns the drafted tokens and their levels."""
+        best = self._best
+        width = self.n_max - 1
+        ctx = tuple(tail[-width:])
+        tokens, levels = [], []
+        for _ in range(k):
+            # m = n-1 context tokens; a context's length names its order
+            m = len(ctx)
+            tok = best.get(ctx)
+            while tok is None and m >= min_level:
+                m -= 1
+                tok = best.get(ctx[-m:])
+            if tok is None or m < min_level - 1:
+                break
+            tokens.append(tok)
+            levels.append(m + 1)
+            ctx = (ctx + (tok,))[-width:]
+        return tokens, levels
 
     def count_of(self, n: int, context: list[int] | tuple[int, ...], nxt: int) -> int:
         if not (2 <= n <= self.n_max):
             raise ValueError(f"order {n} outside [2, {self.n_max}]")
-        row = self._tables[n].get(tuple(context))
-        if not row:
-            return 0
-        rec = row.get(nxt)
-        return rec[0] if rec else 0
+        row = self._rows.get(tuple(context), {}) if len(context) == n - 1 else {}
+        return row.get(nxt, 0)
 
     def snapshot(self) -> dict:
         """JSON-friendly dump, entries ordered by (context, next) for
         reproducible diffs."""
+        counted = self.committed[: len(self.committed) if self.runtime_update else self._init_len]
+        w = self.n_max - 1
         levels = []
         for n in range(2, self.n_max + 1):
+            # ordinal of the order-n window ending at e: the windows ending before e (min(p, w)
+            # at each p >= 1) + n - 1; dict() keeps the last ordinal of a repeated window
+            ordinals = itertools.chain([(e - 1) * e // 2 + n - 1 for e in range(n - 1, w + 1)],
+                                       itertools.count(w * (w + 1) // 2 + n - 1, w))
+            ordinal = dict(zip(zip(*(counted[j:] for j in range(n))), ordinals))
             entries = []
-            for ctx in sorted(self._tables[n]):
-                row = self._tables[n][ctx]
-                for nxt in sorted(row):
-                    count, ordinal = row[nxt]
-                    entries.append(
-                        {"context": list(ctx), "next": nxt, "count": count, "ordinal": ordinal}
-                    )
+            for win in sorted(ordinal):
+                ctx, nxt = win[:-1], win[-1]
+                entries.append({"context": list(ctx), "next": nxt, "count": self._rows[ctx][nxt],
+                                "ordinal": ordinal[win]})
             levels.append({"n": n, "entries": entries})
         return {"n_max": self.n_max, "levels": levels}

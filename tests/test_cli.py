@@ -99,6 +99,33 @@ def test_run_bad_cost_exits_1(tmp_path, capsys, key, value):
     assert f"cost_model.{key}" in err
 
 
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"k_draft": 3}, "k_draft"),
+        ({"decode": {"k-draft": 3}}, "decode.k-draft"),
+        ({"oracle": {"kind": "replay", "ordr": 2}}, "oracle.ordr"),
+        ({"tokenizer": {"mode": "byte", "vocab": "v.json"}}, "tokenizer.vocab"),
+        ({"cost_model": {"verify_cost": 1.0}}, "cost_model.verify_cost"),
+    ],
+)
+def test_run_unknown_config_key_exits_1(tmp_path, capsys, config, key):
+    cfg = tmp_path / "unknown.json"
+    cfg.write_text(json.dumps({"corpus": "bundled:repetitive.txt", **config}))
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 1
+    assert key in err
+
+
+@pytest.mark.parametrize("section", ["decode", "oracle", "tokenizer", "cost_model"])
+def test_run_non_object_section_exits_1(tmp_path, capsys, section):
+    cfg = tmp_path / "section.json"
+    cfg.write_text(json.dumps({"corpus": "bundled:repetitive.txt", section: [1]}))
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 1
+    assert section in err
+
+
 def test_run_losslessness_violation_exits_2(monkeypatch, capsys):
     import specdec.cli as cli_mod
 

@@ -167,6 +167,31 @@ def test_sweep_records_errors_without_aborting():
     assert math.isnan(table.rows[0].speedup_sim)
 
 
+def test_sweep_runs_one_baseline_per_prompt(monkeypatch):
+    import specdec.metrics as metrics_mod
+
+    calls = []
+
+    def counting_baseline(*args, **kwargs):
+        calls.append(args[1])
+        return baseline_decode(*args, **kwargs)
+
+    monkeypatch.setattr(metrics_mod, "baseline_decode", counting_baseline)
+    spec = periodic_spec([4, 5, 6])
+    prompts = [list(spec.prompt), list(spec.prompt)]
+    table = sweep(spec, prompts, [2, 3], [1, 2], DecodeOptions(max_new_tokens=12), FLAT)
+    assert len(calls) == len(prompts)
+    assert len(table.rows) == 4 and not any(r.errors for r in table.rows)
+
+
+def test_sweep_baseline_failure_recorded_in_every_cell():
+    bad = OracleSpec(kind="external", endpoint="127.0.0.1:1")  # nothing listens
+    table = sweep(bad, [[1, 2]], [2, 3], [1, 2], DecodeOptions(max_new_tokens=4), FLAT)
+    errors = [r.errors for r in table.rows]
+    assert len(errors) == 4 and len(errors[0]) == 1 and errors[0][0].startswith("prompt 0: ")
+    assert all(e == errors[0] for e in errors)
+
+
 def test_sweep_csv_output(tmp_path):
     spec = periodic_spec([4, 5, 6])
     opts = DecodeOptions(max_new_tokens=12)

@@ -1,9 +1,11 @@
+import gc
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specdec.decoding import build_draft
 from specdec.ngram import NgramStore, QueryHit
 
 from conftest import brute_force_window_counts
@@ -221,10 +223,101 @@ def test_ordinals_unique_and_increasing():
     assert len(ordinals) == len(set(ordinals))
 
 
-def test_max_contexts_evicts_least_recently_updated():
-    s = NgramStore([], 2, max_contexts=2)
-    for tok in [1, 2, 3, 1]:  # contexts (1), (2), (3) in play
-        s.update(tok)
-    # context (1) was refreshed last by window (3,1)? windows: (1,2),(2,3),(3,1)
-    assert s.count_of(2, (1,), 2) == 0  # oldest context evicted
-    assert s.count_of(2, (3,), 1) == 1
+# ------------------------------------------- differential against a reference
+
+
+def _reference_rows(counted, n):
+    """Order n windows of `counted` recounted the slow way:
+    context -> {next: (count, position of its last occurrence)}."""
+    rows = {}
+    for i in range(n - 1, len(counted)):
+        row = rows.setdefault(tuple(counted[i - n + 1 : i]), {})
+        count, _ = row.get(counted[i], (0, -1))
+        row[counted[i]] = (count + 1, i)
+    return rows
+
+
+def _reference_argmax(row):
+    # (count, last position); positions within a row are distinct
+    return max(row, key=row.get)
+
+
+def _reference_ordinal(position, n, n_max):
+    # Windows are numbered from 1 in order of position, then of order
+    # 2..n_max; position j >= 1 ends min(j, n_max - 1) of them.
+    return sum(min(j, n_max - 1) for j in range(1, position)) + n - 1
+
+
+def _chained_draft(store, tail, k, fixed_level_only):
+    """build_draft as chained query_multilevel calls."""
+    min_level = store.n_max if fixed_level_only else 2
+    window = store.n_max - 1
+    working = list(tail[-window:])
+    draft, levels = [], []
+    for _ in range(k):
+        hit = store.query_multilevel(working[-window:], min_level=min_level)
+        if hit is None:
+            break
+        draft.append(hit.token)
+        levels.append(hit.level)
+        working.append(hit.token)
+    return draft, levels
+
+
+@st.composite
+def store_scripts(draw):
+    n_max = draw(st.integers(2, 6))
+    tok = st.integers(0, draw(st.integers(0, 5)))
+    # a probe looks at the last `length` tokens of committed + extra
+    probe = st.tuples(st.just("probe"), st.lists(tok, max_size=3), st.integers(0, n_max + 1),
+                      st.integers(1, 8), st.integers(2, n_max + 1))
+    ops = st.lists(st.one_of(st.tuples(st.just("update"), tok), probe), max_size=40)
+    return n_max, draw(st.booleans()), draw(st.lists(tok, max_size=40)), draw(ops)
+
+
+@given(store_scripts())
+@settings(max_examples=150, deadline=None)
+def test_store_matches_reference_differential(script):
+    n_max, runtime_update, init, ops = script
+    store = NgramStore(init, n_max, runtime_update=runtime_update)
+    committed = list(init)
+    for op in ops:
+        if op[0] == "update":
+            store.update(op[1])
+            committed.append(op[1])
+            continue
+        _, extra, length, k, min_level = op
+        tail = (committed + extra)[max(0, len(committed) + len(extra) - length) :]
+        counted = committed if runtime_update else init
+        expected_hit = None
+        for n in range(n_max, 1, -1):
+            if len(tail) < n - 1:
+                continue
+            ctx = tuple(tail[len(tail) - (n - 1) :])
+            row = _reference_rows(counted, n).get(ctx, {})
+            best = _reference_argmax(row) if row else None
+            assert store.query(tail, n) == best
+            for nxt in {*row, *extra}:
+                assert store.count_of(n, ctx, nxt) == row.get(nxt, (0,))[0]
+            if best is not None and expected_hit is None and n >= min_level:
+                expected_hit = QueryHit(token=best, level=n, count=row[best][0])
+        assert store.query_multilevel(tail, min_level=min_level) == expected_hit
+        for fixed in (False, True):
+            assert build_draft(store, tail, k, fixed_level_only=fixed) == _chained_draft(
+                store, tail, k, fixed
+            )
+    assert store.committed == committed
+    counted = committed if runtime_update else init
+    levels = []
+    for n in range(2, n_max + 1):
+        rows = _reference_rows(counted, n)
+        entries = [
+            {"context": list(ctx), "next": nxt, "count": count,
+             "ordinal": _reference_ordinal(last, n, n_max)}
+            for ctx in sorted(rows)
+            for nxt, (count, last) in sorted(rows[ctx].items())
+        ]
+        levels.append({"n": n, "entries": entries})
+    assert store.snapshot() == {"n_max": n_max, "levels": levels}
+    # Rows hold only ints, so the collector never traverses them.
+    assert not any(gc.is_tracked(row) for row in store._rows.values())
