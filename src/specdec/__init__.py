@@ -25,12 +25,10 @@ from .metrics import (
     RunMetrics,
     SweepRow,
     SweepTable,
-    WallclockReport,
     compute_metrics,
     sim_total_time,
     sweep,
     theoretical_bound,
-    wallclock_bench,
     write_sweep_csv,
 )
 from .ngram import NgramStore, QueryHit
@@ -79,12 +77,10 @@ __all__ = [
     "RunMetrics",
     "SweepRow",
     "SweepTable",
-    "WallclockReport",
     "compute_metrics",
     "sim_total_time",
     "sweep",
     "theoretical_bound",
-    "wallclock_bench",
     "write_sweep_csv",
     "NgramStore",
     "QueryHit",

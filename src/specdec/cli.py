@@ -166,21 +166,21 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     return cfg
 
 
-def _build_vocab(cfg: RunConfig, corpus: bytes):
-    if cfg.vocab_path is not None:
-        return load_vocab(cfg.vocab_path)
-    if cfg.tokenizer_mode == "byte":
+def _build_vocab(mode: str, vocab_path: str | None, train_size: int, corpus: bytes):
+    if vocab_path is not None:
+        return load_vocab(vocab_path)
+    if mode == "byte":
         return byte_vocab()
-    if cfg.tokenizer_mode == "whitespace":
+    if mode == "whitespace":
         return word_vocab(corpus)
-    if cfg.tokenizer_mode == "bpe":
-        return train_bpe(corpus, cfg.bpe_train_size or 512)
-    raise ConfigError(f"unknown tokenizer mode {cfg.tokenizer_mode!r}")
+    if mode == "bpe":
+        return train_bpe(corpus, train_size)
+    raise ConfigError(f"unknown tokenizer mode {mode!r}")
 
 
 def _build_run(cfg: RunConfig) -> tuple[list[int], OracleSpec, object]:
     corpus = resolve_corpus_ref(cfg.corpus_ref)
-    vocab = _build_vocab(cfg, corpus)
+    vocab = _build_vocab(cfg.tokenizer_mode, cfg.vocab_path, cfg.bpe_train_size or 512, corpus)
     ids = encode(corpus, vocab, cfg.tokenizer_mode)
     if len(ids) <= cfg.prompt_tokens:
         raise ConfigError(
@@ -301,15 +301,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             return EXIT_ERROR
         cfg = load_config(args.config, args)
         prompt, spec, _ = _build_run(cfg)
-        table = sweep(
-            spec,
-            [prompt],
-            n_grid,
-            k_grid,
-            cfg.decode,
-            cfg.cost,
-            fixed_level_only=cfg.decode.fixed_level_only,
-        )
+        table = sweep(spec, [prompt], n_grid, k_grid, cfg.decode, cfg.cost)
         table.config["seed"] = cfg.seed
         out_csv = Path(args.out)
         sidecar = out_csv.with_suffix(out_csv.suffix + ".config.json")
@@ -337,14 +329,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             print(f"error: corpus not found: {args.corpus}", file=sys.stderr)
             return EXIT_ERROR
         whole = b"".join(resolve_corpus_ref(f) for f in files)
-        if args.vocab:
-            vocab = load_vocab(args.vocab)
-        elif args.mode == "bpe":
-            vocab = train_bpe(whole, args.train_size)
-        elif args.mode == "whitespace":
-            vocab = word_vocab(whole)
-        else:
-            vocab = byte_vocab()
+        vocab = _build_vocab(args.mode, args.vocab, args.train_size, whole)
         rows = []
         for f in files:
             st = corpus_stats(resolve_corpus_ref(f), vocab, args.mode)

@@ -1,16 +1,14 @@
-"""Evaluation metrics: draft hit ratio, simulated and wall-clock speed-up,
-the (alpha * K) + 1 acceleration bound, and parameter sweeps over N and K.
+"""Evaluation metrics: draft hit ratio, simulated speed-up, the
+(alpha * K) + 1 acceleration bound, and parameter sweeps over N and K.
 
 Simulated speed-up is pure cost-model arithmetic over decode traces and is
-fully deterministic; wall-clock speed-up is informational and reported
-separately, never mixed into the simulated numbers.
+fully deterministic. Wall-clock speed-up is measured outside the package,
+by the benchmark in `perfbench/`, and never mixed into these numbers.
 """
 
 from __future__ import annotations
 
 import json
-import statistics
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -28,13 +26,11 @@ __all__ = [
     "RunMetrics",
     "SweepRow",
     "SweepTable",
-    "WallclockReport",
     "theoretical_bound",
     "sim_total_time",
     "compute_metrics",
     "sweep",
     "write_sweep_csv",
-    "wallclock_bench",
 ]
 
 SWEEP_CSV_HEADER = "n,k,alpha,mean_committed,speedup_sim,bound,steps,output_len"
@@ -57,7 +53,6 @@ class RunMetrics:
     theoretical_bound: float
     steps: int
     output_len: int
-    speedup_wallclock: float | None = None
 
     def to_json(self) -> dict:
         return {
@@ -67,7 +62,6 @@ class RunMetrics:
             "theoretical_bound": self.theoretical_bound,
             "steps": self.steps,
             "output_len": self.output_len,
-            "speedup_wallclock": self.speedup_wallclock,
         }
 
 
@@ -160,8 +154,6 @@ def sweep(
     k_grid: list[int],
     options: DecodeOptions,
     cost_model: CostModel | None = None,
-    *,
-    fixed_level_only: bool = False,
 ) -> SweepTable:
     """Run the accelerated decoder for every (n, k) grid point and prompt
     against one baseline decode per prompt; cell values are arithmetic
@@ -188,7 +180,7 @@ def sweep(
     rows: list[SweepRow] = []
     for n in sorted(set(n_grid)):
         for k in sorted(set(k_grid)):
-            opts = replace(options, n_max=n, k_draft=k, fixed_level_only=fixed_level_only)
+            opts = replace(options, n_max=n, k_draft=k)
             metrics: list[RunMetrics] = []
             errors: list[str] = []
             for idx, (prompt, base) in enumerate(zip(prompt_set, bases)):
@@ -217,7 +209,7 @@ def sweep(
         "max_new_tokens": options.max_new_tokens,
         "runtime_update": options.runtime_update,
         "stop_at_eos": options.stop_at_eos,
-        "fixed_level_only": fixed_level_only,
+        "fixed_level_only": options.fixed_level_only,
         "aggregation": "arithmetic_mean",
     }
     return SweepTable(rows=rows, config=config)
@@ -226,96 +218,3 @@ def sweep(
 def write_sweep_csv(table: SweepTable, csv_path: str | Path, sidecar_path: str | Path) -> None:
     _atomic_write(csv_path, table.to_csv())
     _atomic_write(sidecar_path, json.dumps(table.config, sort_keys=True, indent=2) + "\n")
-
-
-class _LatencyInjector:
-    """Oracle wrapper that sleeps for the cost-model latency of each call."""
-
-    def __init__(self, inner, cost_model: CostModel, seconds_per_unit: float) -> None:
-        self._inner = inner
-        self._cm = cost_model
-        self._scale = seconds_per_unit
-        self._fresh = True
-
-    def extend(self, tokens: list[int]) -> list[int]:
-        kind = "prefill" if self._fresh else "verify"
-        self._fresh = False
-        time.sleep(simulate_cost(self._cm, kind, len(tokens)) * self._scale)
-        return self._inner.extend(tokens)
-
-    def reset(self) -> None:
-        self._fresh = True
-        self._inner.reset()
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
-@dataclass
-class WallclockReport:
-    metrics: RunMetrics
-    baseline_seconds: list[float]
-    accelerated_seconds: list[float]
-    median_baseline: float
-    median_accelerated: float
-    relative_spread: float
-    timer_warning: bool
-
-
-def wallclock_bench(
-    oracle_spec: OracleSpec,
-    prompt: list[int],
-    options: DecodeOptions,
-    cost_model: CostModel | None = None,
-    *,
-    repetitions: int = 5,
-    warmup: int = 3,
-    latency_seconds_per_unit: float | None = None,
-    timer_floor: float = 1e-4,
-) -> WallclockReport:
-    """Median-of-N wall-clock comparison of the two decoders.
-
-    When latency_seconds_per_unit is set, every oracle call sleeps for its
-    cost-model latency, so the wall-clock ratio should converge to the
-    simulated one. Without injection the result honestly reflects engine
-    overhead and may be below 1.
-    """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    cm = cost_model or DEFAULT_COST_MODEL
-
-    def fresh():
-        oracle = make_oracle(oracle_spec)
-        if latency_seconds_per_unit is not None:
-            return _LatencyInjector(oracle, cm, latency_seconds_per_unit)
-        return oracle
-
-    base_res = baseline_decode(make_oracle(oracle_spec), list(prompt), options, cm)
-    accel_res = speculative_decode(make_oracle(oracle_spec), list(prompt), options, cm)
-    metrics = compute_metrics(accel_res, base_res, cm)
-
-    for _ in range(warmup):
-        baseline_decode(fresh(), list(prompt), options, cm)
-        speculative_decode(fresh(), list(prompt), options, cm)
-    base_times: list[float] = []
-    accel_times: list[float] = []
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        baseline_decode(fresh(), list(prompt), options, cm)
-        base_times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        speculative_decode(fresh(), list(prompt), options, cm)
-        accel_times.append(time.perf_counter() - t0)
-    med_base = statistics.median(base_times)
-    med_accel = statistics.median(accel_times)
-    metrics.speedup_wallclock = med_base / med_accel if med_accel > 0 else float("inf")
-    spread = (max(accel_times) - min(accel_times)) / med_accel if med_accel > 0 else float("inf")
-    return WallclockReport(
-        metrics=metrics,
-        baseline_seconds=base_times,
-        accelerated_seconds=accel_times,
-        median_baseline=med_base,
-        median_accelerated=med_accel,
-        relative_spread=spread,
-        timer_warning=min(med_base, med_accel) < timer_floor,
-    )

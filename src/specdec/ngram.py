@@ -8,14 +8,11 @@ Rows map a context (n-1 tokens, so its length names the order) to {next:
 count}, and a second dict maps it to its argmax, kept in O(1) per counted
 window: the bumped token is the most recently reinforced one, so it becomes
 the argmax exactly when its new count is >= the argmax's count. `snapshot`
-derives each entry's `ordinal` (the number of the window that last
-reinforced it, counting windows from 1 by position, then by order) from
-the entry's last position in the counted prefix.
+reads the rows as they stand.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 __all__ = ["QueryHit", "NgramStore"]
@@ -48,7 +45,6 @@ class NgramStore:
         for tok in token_ids:
             self.committed.append(tok)
             self._count_windows_at_tail()
-        self._init_len = len(self.committed)
 
     def update(self, token: int) -> None:
         self.committed.append(token)
@@ -130,19 +126,10 @@ class NgramStore:
     def snapshot(self) -> dict:
         """JSON-friendly dump, entries ordered by (context, next) for
         reproducible diffs."""
-        counted = self.committed[: len(self.committed) if self.runtime_update else self._init_len]
-        w = self.n_max - 1
-        levels = []
-        for n in range(2, self.n_max + 1):
-            # ordinal of the order-n window ending at e: the windows ending before e (min(p, w)
-            # at each p >= 1) + n - 1; dict() keeps the last ordinal of a repeated window
-            ordinals = itertools.chain([(e - 1) * e // 2 + n - 1 for e in range(n - 1, w + 1)],
-                                       itertools.count(w * (w + 1) // 2 + n - 1, w))
-            ordinal = dict(zip(zip(*(counted[j:] for j in range(n))), ordinals))
-            entries = []
-            for win in sorted(ordinal):
-                ctx, nxt = win[:-1], win[-1]
-                entries.append({"context": list(ctx), "next": nxt, "count": self._rows[ctx][nxt],
-                                "ordinal": ordinal[win]})
-            levels.append({"n": n, "entries": entries})
-        return {"n_max": self.n_max, "levels": levels}
+        levels = {n: [] for n in range(2, self.n_max + 1)}
+        for ctx in sorted(self._rows):
+            row = self._rows[ctx]
+            levels[len(ctx) + 1].extend(
+                {"context": list(ctx), "next": nxt, "count": row[nxt]} for nxt in sorted(row)
+            )
+        return {"n_max": self.n_max, "levels": [{"n": n, "entries": e} for n, e in levels.items()]}

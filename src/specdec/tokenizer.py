@@ -55,11 +55,6 @@ class Vocab:
     def index_of(self, token: bytes) -> int | None:
         return self._index.get(token)  # type: ignore[attr-defined]
 
-    def token(self, token_id: int) -> bytes:
-        if not (0 <= token_id < len(self.tokens)):
-            raise ValueError(f"token id {token_id} out of range [0, {len(self.tokens)})")
-        return self.tokens[token_id]
-
 
 @dataclass(frozen=True)
 class CorpusStats:

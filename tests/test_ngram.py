@@ -215,14 +215,6 @@ def test_snapshot_is_json_serializable():
     json.dumps(s.snapshot())
 
 
-def test_ordinals_unique_and_increasing():
-    s = NgramStore([1, 2, 1, 2, 1, 2], 3)
-    ordinals = [
-        e["ordinal"] for level in s.snapshot()["levels"] for e in level["entries"]
-    ]
-    assert len(ordinals) == len(set(ordinals))
-
-
 # ------------------------------------------- differential against a reference
 
 
@@ -240,12 +232,6 @@ def _reference_rows(counted, n):
 def _reference_argmax(row):
     # (count, last position); positions within a row are distinct
     return max(row, key=row.get)
-
-
-def _reference_ordinal(position, n, n_max):
-    # Windows are numbered from 1 in order of position, then of order
-    # 2..n_max; position j >= 1 ends min(j, n_max - 1) of them.
-    return sum(min(j, n_max - 1) for j in range(1, position)) + n - 1
 
 
 def _chained_draft(store, tail, k, fixed_level_only):
@@ -312,10 +298,9 @@ def test_store_matches_reference_differential(script):
     for n in range(2, n_max + 1):
         rows = _reference_rows(counted, n)
         entries = [
-            {"context": list(ctx), "next": nxt, "count": count,
-             "ordinal": _reference_ordinal(last, n, n_max)}
+            {"context": list(ctx), "next": nxt, "count": count}
             for ctx in sorted(rows)
-            for nxt, (count, last) in sorted(rows[ctx].items())
+            for nxt, (count, _) in sorted(rows[ctx].items())
         ]
         levels.append({"n": n, "entries": entries})
     assert store.snapshot() == {"n_max": n_max, "levels": levels}
