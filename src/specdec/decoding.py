@@ -10,6 +10,12 @@ into the next step. Because every committed token is one the oracle itself
 would have produced, the output is token-identical to the baseline loop for
 any deterministic oracle.
 
+The engine chooses each step's draft length, with k_draft as its cap: a
+token is verified only when it raises the expected number of committed
+tokens per unit of verify cost, given this decode's per-level acceptance
+rates (the expected-accepted-length argument of Leviathan et al., arXiv
+2211.17192).
+
 Each step commits between 1 and k_draft+1 tokens, so the accelerated loop
 never takes more steps (hence more oracle calls) than the baseline.
 """
@@ -86,10 +92,6 @@ class DecodeResult:
     store: NgramStore | None = field(default=None, repr=False)
 
 
-def _is_eos(oracle, token: int, options: DecodeOptions) -> bool:
-    return options.stop_at_eos and oracle.eos is not None and token == oracle.eos
-
-
 def _wrap_oracle_error(exc: OracleError, where: str) -> OracleError:
     wrapped = type(exc)(f"{where}: {exc}")
     wrapped.__cause__ = exc
@@ -111,11 +113,12 @@ def baseline_decode(oracle, prompt: list[int], options: DecodeOptions,
         raise _wrap_oracle_error(exc, "prefill") from exc
     totals = DecodeTotals(llm_calls=1)
     carried = preds[-1]
+    eos = oracle.eos if options.stop_at_eos else None
     output: list[int] = []
     steps: list[StepRecord] = []
     while len(output) < options.max_new_tokens:
         output.append(carried)
-        if _is_eos(oracle, carried, options):
+        if carried == eos:
             steps.append(StepRecord(len(steps), [], [], 0, [carried], 0, 0.0))
             break
         try:
@@ -144,12 +147,35 @@ def build_draft(
     *,
     fixed_level_only: bool = False,
 ) -> tuple[list[int], list[int]]:
-    """Speculate up to k_draft tokens by chaining fallback queries; each
-    query sees the committed tail plus the tokens drafted so far. A miss
-    at every level truncates the draft. Pure with respect to the store."""
+    """Draft up to k_draft tokens with `NgramStore.draft`, stopping at the
+    first context no order has seen. Pure with respect to the store."""
     if k_draft < 1:
         raise ValueError(f"k_draft must be >= 1, got {k_draft}")
     return store.draft(committed_tail, k_draft, min_level=store.n_max if fixed_level_only else 2)
+
+
+def _paying_length(levels: list[int], hits: list[int], reached: list[int],
+                   cost_model: CostModel) -> int:
+    """How many leading draft tokens pay for their verify cost.
+
+    `hits[l] / reached[l]` is level l's acceptance rate. With `cum` the
+    product of the rates of the levels so far (this token's included), E = 1
+    + the sum of the earlier `cum`s and C the verify cost of the batch
+    without this token, the token raises E/C iff cum·C > verify_per_token·E.
+    `cum` never rises, so E/C is unimodal in the length and the first token
+    that does not pay ends the draft. With verify_per_token = 0 all pay.
+    """
+    vp = cost_model.verify_per_token
+    if not vp:
+        return len(levels)
+    vb = cost_model.verify_base
+    expected = cum = 1.0
+    for j, level in enumerate(levels):
+        cum *= hits[level] / reached[level]
+        if cum * (vb + vp * (1 + j)) <= vp * expected:
+            return j
+        expected += cum
+    return len(levels)
 
 
 def verify_step(oracle, carried: int, drafted: list[int]) -> tuple[int, int, list[int]]:
@@ -188,10 +214,19 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
     """Draft-and-verify loop; output is token-identical to baseline_decode.
 
     Per step: commit the carried token, draft up to k_draft continuations
-    from the n-gram store, validate [carried]+draft in one call, commit the
-    accepted prefix, carry the oracle's next prediction. Draft length is
-    additionally capped by the remaining token budget so the output never
-    exceeds max_new_tokens.
+    from the n-gram store, cut the draft at the remaining token budget and
+    at the first token that does not pay (`_paying_length`), validate
+    [carried]+draft in one call, commit the accepted prefix, carry the
+    oracle's next prediction. The accepted tokens and the next carried
+    token go into the store in one update.
+
+    Each level starts at 1 hit of 1 reached. After a verify with `acc`
+    accepted, the levels of the first `acc` tokens each count a hit and a
+    reach, and the uncut draft's next token, if any, is judged against the
+    next carried token (the oracle's prediction at its position): a reach,
+    and a hit if they match. That token is the first rejected one or, when
+    the whole cut draft passed, the first one cut; judging it costs no
+    oracle call and keeps a level whose tokens stopped paying measured.
     """
     options.validate()
     if not prompt:
@@ -205,52 +240,55 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
         raise _wrap_oracle_error(exc, "prefill") from exc
     totals = DecodeTotals(llm_calls=1)
     carried = preds[-1]
+    budget = options.max_new_tokens
+    eos = oracle.eos if options.stop_at_eos else None
+    hits, reached = [1] * (options.n_max + 1), [1] * (options.n_max + 1)
     output: list[int] = []
     steps: list[StepRecord] = []
-    while len(output) < options.max_new_tokens:
-        output.append(carried)
+    if budget:
         store.update(carried)
-        if _is_eos(oracle, carried, options):
+    while len(output) < budget:
+        output.append(carried)
+        if carried == eos:
             steps.append(StepRecord(len(steps), [], [], 0, [carried], 0, 0.0))
             break
-        k_use = min(options.k_draft, options.max_new_tokens - len(output))  # remaining budget
-        drafted, levels = (
+        k_use = min(options.k_draft, budget - len(output))
+        full, full_levels = (
             build_draft(store, store.committed, k_use, fixed_level_only=options.fixed_level_only)
             if k_use > 0 else ([], [])
         )
+        paid = _paying_length(full_levels, hits, reached, cm)
+        drafted, levels = full[:paid], full_levels[:paid]
         _align_oracle(oracle, store.committed, len(store.committed) - 1)
         try:
             accepted, next_carried, _ = verify_step(oracle, carried, drafted)
         except OracleError as exc:
             raise _wrap_oracle_error(exc, f"step {len(steps)}") from exc
+        for level in full_levels[:accepted]:
+            hits[level] += 1
+            reached[level] += 1
+        if accepted < len(full):
+            level = full_levels[accepted]
+            reached[level] += 1
+            hits[level] += full[accepted] == next_carried
+        kept = drafted[:accepted]
+        eos_hit = eos in kept
+        if eos_hit:
+            kept = kept[: kept.index(eos) + 1]
+        output += kept
+        batch_len = 1 + len(drafted)
         totals.llm_calls += 1
         totals.proposed_draft_tokens += len(drafted)
-        step_committed = [carried]
-        eos_hit = False
-        for tok in drafted[:accepted]:
-            output.append(tok)
-            store.update(tok)
-            step_committed.append(tok)
-            if _is_eos(oracle, tok, options):
-                eos_hit = True
-                break
-        committed_accepted = len(step_committed) - 1
-        totals.accepted_draft_tokens += committed_accepted
-        batch_len = 1 + len(drafted)
+        totals.accepted_draft_tokens += len(kept)
         steps.append(
-            StepRecord(
-                len(steps),
-                drafted,
-                levels,
-                committed_accepted,
-                step_committed,
-                batch_len,
-                simulate_cost(cm, "verify", batch_len),
-            )
+            StepRecord(len(steps), drafted, levels, len(kept), [carried, *kept], batch_len,
+                       cm.verify_base + cm.verify_per_token * batch_len)
         )
-        if eos_hit:
+        if eos_hit or len(output) == budget:
+            store.update(*kept)
             break
         carried = next_carried
+        store.update(*kept, carried)
     return DecodeResult(
         output=output,
         steps=steps,

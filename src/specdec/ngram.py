@@ -1,8 +1,12 @@
 """Token-level n-gram count tables with highest-order-first fallback lookup.
 
 A store counts every window of orders 2..n_max over the committed token
-sequence. Queries return the count argmax, ties going to the most recently
-reinforced token; there is no smoothing or probability output.
+sequence; `update` commits a batch of tokens at once. Queries return the
+count argmax, ties going to the most recently reinforced token; there is no
+smoothing or probability output. `draft` is the decoder's one lookup path:
+it reads the argmax table directly, taking each token from the highest order
+whose context (the tail plus the tokens drafted so far) has been seen, and
+stops at the first context no allowed order has seen.
 
 Rows map a context (n-1 tokens, so its length names the order) to {next:
 count}, and a second dict maps it to its argmax, kept in O(1) per counted
@@ -42,30 +46,33 @@ class NgramStore:
         self.committed: list[int] = []
         self._rows: dict[tuple[int, ...], dict[int, int]] = {}
         self._best: dict[tuple[int, ...], int] = {}
-        for tok in token_ids:
-            self.committed.append(tok)
-            self._count_windows_at_tail()
+        self._commit(token_ids)
 
-    def update(self, token: int) -> None:
-        self.committed.append(token)
+    def update(self, *tokens: int) -> None:
+        """Commit `tokens` in order, counting their windows unless the
+        store is frozen."""
         if self.runtime_update:
-            self._count_windows_at_tail()
+            self._commit(tokens)
+        else:
+            self.committed.extend(tokens)
 
-    def _count_windows_at_tail(self) -> None:
-        nxt = self.committed[-1]
-        window = tuple(self.committed[-self.n_max : -1])
-        rows, best = self._rows, self._best
-        for i in range(len(window)):
-            ctx = window[i:]
-            row = rows.get(ctx)
-            if row is None:
-                rows[ctx] = {nxt: 1}
-                best[ctx] = nxt
-            else:
-                count = row[nxt] = row.get(nxt, 0) + 1
-                top = best[ctx]
-                if top != nxt and count >= row[top]:
+    def _commit(self, tokens) -> None:
+        seq, rows, best = self.committed, self._rows, self._best
+        width = 1 - self.n_max
+        for nxt in tokens:
+            window = tuple(seq[width:])  # the n_max-1 tokens before nxt
+            seq.append(nxt)
+            for i in range(len(window)):
+                ctx = window[i:]
+                row = rows.get(ctx)
+                if row is None:
+                    rows[ctx] = {nxt: 1}
                     best[ctx] = nxt
+                else:
+                    count = row[nxt] = row.get(nxt, 0) + 1
+                    top = best[ctx]
+                    if top != nxt and count >= row[top]:
+                        best[ctx] = nxt
 
     def query(self, context: list[int] | tuple[int, ...], n: int) -> int | None:
         """Count-argmax next token for the last n-1 tokens of `context`, or
@@ -96,9 +103,12 @@ class NgramStore:
     def draft(
         self, tail: list[int] | tuple[int, ...], k: int, *, min_level: int = 2
     ) -> tuple[list[int], list[int]]:
-        """Chain up to k `query_multilevel` lookups (min_level >= 2) over the
-        last n_max-1 tokens of `tail` plus the tokens drafted so far, stopping
-        at the first miss; returns the drafted tokens and their levels."""
+        """Draft up to k tokens greedily; returns them and their levels.
+
+        Each token is the argmax after the longest suffix, of n_max-1 down to
+        min_level-1 tokens (min_level >= 2), of `tail` plus the tokens drafted
+        so far that the store has seen; its level is that suffix's length
+        plus one. Drafting stops at the first context with no such suffix."""
         best = self._best
         width = self.n_max - 1
         ctx = tuple(tail[-width:])

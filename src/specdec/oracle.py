@@ -120,11 +120,10 @@ class ReplayOracle:
     def extend(self, tokens: list[int]) -> list[int]:
         _check_batch(tokens)
         base = self._consumed
-        preds = []
-        for j in range(len(tokens)):
-            pos = base + j + 1
-            preds.append(self._script[pos] if pos < len(self._script) else self.eos)
-        self._consumed += len(tokens)
+        end = self._consumed = base + len(tokens)
+        preds = self._script[base + 1 : end + 1]
+        if len(preds) < len(tokens):  # past the script's end
+            preds += [self.eos] * (len(tokens) - len(preds))
         return preds
 
     def reset(self) -> None:

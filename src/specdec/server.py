@@ -4,7 +4,9 @@ Each connection gets its own oracle instance from the factory; connections
 never share cache state. Requests are handled strictly in order, one reply
 line per request line. Malformed requests get an error reply and the
 connection stays open; a request line longer than MAX_LINE_BYTES gets an
-error reply and the connection is closed.
+error reply and the connection is closed. At most MAX_CONNECTIONS
+connections are served at once; one over the cap gets an error line and is
+closed without a thread being started for it.
 
 When the served oracle has `truncate_cache`, `info` says `"at": true` and an
 `extend` may carry `"at": L`: the oracle is truncated to L consumed tokens
@@ -22,7 +24,7 @@ from typing import Callable
 
 log = logging.getLogger("specdec.server")
 
-__all__ = ["OracleServer", "MAX_LINE_BYTES"]
+__all__ = ["OracleServer", "MAX_LINE_BYTES", "MAX_CONNECTIONS"]
 
 
 # The largest request an in-repo client sends is a whole committed prefix
@@ -32,6 +34,10 @@ __all__ = ["OracleServer", "MAX_LINE_BYTES"]
 # 1,800. An id of up to 7 digits plus its ", " separator takes at most 9
 # bytes, so 1 MiB holds over 116,000 ids, some 60 times the largest.
 MAX_LINE_BYTES = 1 << 20
+
+# Each served connection holds a thread and an oracle instance; the cap
+# bounds both. Read when a server is built.
+MAX_CONNECTIONS = 64
 
 
 def _handle_request(oracle, payload: bytes, vocab_size: int, truncate) -> dict:
@@ -106,6 +112,32 @@ class _Handler(socketserver.StreamRequestHandler):
 class _TCPServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True
+
+    def __init__(self, address, handler) -> None:
+        super().__init__(address, handler)
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+
+    def process_request(self, request, client_address) -> None:
+        if not self._slots.acquire(blocking=False):
+            log.warning("refused %s:%s: %d connections open", *client_address[:2], MAX_CONNECTIONS)
+            error = {"ok": False, "error": f"server busy: {MAX_CONNECTIONS} connections open"}
+            try:
+                request.sendall(json.dumps(error).encode("utf-8") + b"\n")
+            except OSError:
+                pass  # the client is gone; nothing to tell it
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:
+            self._slots.release()
+            raise
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
 
 
 class OracleServer:

@@ -293,9 +293,9 @@ def test_serve_oracle_bad_listen(capsys):
 
 
 GOLDEN = {
-    # pinned from the first run of the bundled demo config (see
-    # test_run_golden_metrics_pinned)
-    "alpha": 0.3751622674167027,
-    "speedup_sim": 2.7041166380788564,
-    "steps": 333,
+    # pinned from a run of the bundled demo config with cost-aware draft
+    # lengths (see test_run_golden_metrics_pinned)
+    "alpha": 0.4478463933575506,
+    "speedup_sim": 2.7939743021709766,
+    "steps": 337,
 }

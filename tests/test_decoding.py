@@ -1,4 +1,8 @@
+import dataclasses
+import hashlib
+import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +10,7 @@ from hypothesis import strategies as st
 
 from specdec.decoding import (
     DecodeOptions,
+    _paying_length,
     baseline_decode,
     build_draft,
     read_trace,
@@ -13,8 +18,12 @@ from specdec.decoding import (
     verify_step,
     write_trace,
 )
+from specdec.bundled import bundled_bytes
+from specdec.metrics import compute_metrics
 from specdec.ngram import NgramStore
-from specdec.oracle import CostModel, MarkovOracle, OracleSpec, ReplayOracle
+from specdec.oracle import CostModel, ExternalOracle, MarkovOracle, OracleSpec, ReplayOracle
+from specdec.server import OracleServer
+from specdec.tokenizer import byte_vocab, encode
 
 from conftest import greedy_markov_continuation
 
@@ -117,6 +126,47 @@ def test_build_draft_does_not_mutate_store():
     before = store.snapshot()
     build_draft(store, [1], 4)
     assert store.snapshot() == before
+
+
+def _committed_per_cost(levels, hits, reached, cm, length):
+    """Expected committed tokens per unit of verify cost for a draft of
+    `length` tokens, in exact arithmetic."""
+    expected, cum = Fraction(1), Fraction(1)
+    for level in levels[:length]:
+        cum *= Fraction(hits[level], reached[level])
+        expected += cum
+    cost = Fraction(cm.verify_base) + Fraction(cm.verify_per_token) * (1 + length)
+    return expected / cost
+
+
+@given(
+    st.lists(st.integers(2, 6), max_size=8),
+    st.lists(st.tuples(st.integers(1, 20), st.integers(0, 19)), min_size=7, max_size=7),
+    st.floats(0.0, 2.0),
+    st.floats(0.001, 3.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_paying_length_maximises_committed_per_cost(levels, counts, vb, vp):
+    reached = [c for c, _ in counts]
+    hits = [min(c, h + 1) for c, h in counts]
+    cm = CostModel(verify_base=vb, verify_per_token=vp)
+    paid = _paying_length(levels, hits, reached, cm)
+    rates = [float(_committed_per_cost(levels, hits, reached, cm, n))
+             for n in range(len(levels) + 1)]
+    # up to float rounding: every token kept raised the rate, and the kept
+    # length maximises it
+    tol = 1 - 1e-12
+    assert all(rates[j + 1] > rates[j] * tol for j in range(paid))
+    assert rates[paid] >= max(rates) * tol
+
+
+def test_paying_length_without_per_token_cost_keeps_everything():
+    levels = [5, 4, 3, 2]
+    hopeless = [1] * 7, [100] * 7
+    for cm in (FLAT, CostModel(0.0, 0.0, 0.0)):
+        assert _paying_length(levels, *hopeless, cm) == 4
+    assert _paying_length(levels, *hopeless, CostModel()) == 0
+    assert _paying_length(levels, [1] * 7, [1] * 7, CostModel()) == 4
 
 
 # ---------------------------------------------------------------- verify_step
@@ -291,6 +341,146 @@ def test_losslessness_property_markov(seed, n_max, k_draft, m):
     base = baseline_decode(MarkovOracle(corpus, order, seed % 97), prompt, opts)
     accel = speculative_decode(MarkovOracle(corpus, order, seed % 97), prompt, opts)
     assert accel.output == base.output
+
+
+_COST_MODELS = st.one_of(
+    st.builds(
+        CostModel,
+        prefill_per_token=st.just(0.0),
+        verify_base=st.floats(0.0, 2.0),
+        verify_per_token=st.floats(0.0, 3.0),
+    ),
+    st.just(CostModel(0.0, 0.0, 0.0)),
+    st.builds(CostModel, verify_base=st.just(0.0), verify_per_token=st.floats(0.0, 1.0)),
+)
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), _COST_MODELS)
+@settings(max_examples=150, deadline=None)
+def test_losslessness_over_cost_models(seed, use_markov, cm):
+    r = random.Random(seed)
+    vocab = r.randint(3, 12)
+    prompt = [r.randrange(vocab) for _ in range(r.randint(1, 30))]
+    opts = DecodeOptions(n_max=r.randint(2, 6), k_draft=r.randint(1, 8),
+                         max_new_tokens=r.randint(0, 120))
+    if use_markov:
+        order = r.randint(1, 3)
+        corpus = [r.randrange(vocab) for _ in range(r.randint(order + 1, 200))]
+        make = lambda: MarkovOracle(corpus, order, seed % 97)  # noqa: E731
+    else:
+        target = [r.randrange(vocab) for _ in range(r.randint(1, 150))]
+        make = lambda: replay(prompt, target)  # noqa: E731
+    base = baseline_decode(make(), prompt, opts, cm)
+    accel = speculative_decode(make(), prompt, opts, cm)
+    assert accel.output == base.output
+    assert all(len(s.drafted) <= opts.k_draft for s in accel.steps)
+
+
+def test_draft_lengths_follow_the_per_level_counts(rng):
+    """Replays a decode's trace: each step verifies the paying prefix of the
+    uncut draft under the counts of the steps before it, and the counts
+    move as speculative_decode documents."""
+    corpus = [rng.randrange(5) for _ in range(300)]
+    prompt = [rng.randrange(5) for _ in range(12)]
+    opts = DecodeOptions(n_max=4, k_draft=6, max_new_tokens=200)
+    cm = CostModel(verify_base=1.0, verify_per_token=0.3)
+    res = speculative_decode(MarkovOracle(corpus, 2, 4), prompt, opts, cm)
+    store = NgramStore(prompt, opts.n_max)
+    hits, reached = [1] * (opts.n_max + 1), [1] * (opts.n_max + 1)
+    cut = judged_cut = 0
+    for step, nxt in zip(res.steps, res.steps[1:]):
+        store.update(step.committed[0])
+        k_use = min(opts.k_draft, opts.max_new_tokens - (len(store.committed) - len(prompt)))
+        full, full_levels = build_draft(store, store.committed, k_use)
+        paid = _paying_length(full_levels, hits, reached, cm)
+        assert (step.drafted, step.draft_levels) == (full[:paid], full_levels[:paid])
+        cut += paid < len(full)
+        acc = step.accepted_count
+        for level in full_levels[:acc]:
+            hits[level] += 1
+            reached[level] += 1
+        if acc < len(full):
+            reached[full_levels[acc]] += 1
+            hits[full_levels[acc]] += full[acc] == nxt.committed[0]
+            judged_cut += acc == paid
+        store.update(*step.committed[1:])
+    assert cut > 0 and judged_cut > 0  # some drafts were cut, and a cut token judged
+
+
+# sha256 over the StepRecords (as JSON) that the decoder produced when every
+# draft ran to k_draft; with verify_per_token = 0 they must not change.
+_FULL_LENGTH_STEPS = {
+    ("shuffled.txt", "replay", 1.0): "86e1b114ef672d37d5b63faf0f156ee3a732349ac4fd17e0ad096f0a026598b5",
+    ("shuffled.txt", "replay", 0.0): "32192a602c7ee74607867a83840c416789cb7afeb31ca460a857be93f22b1fcb",
+    ("repetitive.txt", "markov", 1.0): "9333050df94a7969a764206c5337d3bb883788996401647d427196796bacce9d",
+    ("patterned_code.txt", "replay", 0.0): "b61ef5b18d716bba78cc4bed92a4f1f8dc3ac8069880564818935acae900451c",
+}
+
+
+def _bundled_oracle(corpus, kind, prompt_len=200):
+    vocab = byte_vocab()
+    ids = encode(bundled_bytes(corpus), vocab, "byte")
+    prompt = ids[:prompt_len]
+    if kind == "replay":
+        return prompt, lambda: ReplayOracle(prompt, ids[prompt_len:], vocab.eos)
+    return prompt, lambda: MarkovOracle(ids, 3, 0, eos=vocab.eos)
+
+
+@pytest.mark.parametrize("corpus,kind,verify_base", sorted(_FULL_LENGTH_STEPS))
+def test_zero_verify_per_token_keeps_full_length_steps(corpus, kind, verify_base):
+    prompt, make = _bundled_oracle(corpus, kind)
+    prefill = 0.002 if kind == "markov" else 0.0
+    cm = CostModel(prefill_per_token=prefill, verify_base=verify_base, verify_per_token=0.0)
+    res = speculative_decode(make(), prompt, DecodeOptions(n_max=5, k_draft=7,
+                                                           max_new_tokens=1000), cm)
+    steps = json.dumps([dataclasses.asdict(s) for s in res.steps]).encode()
+    assert hashlib.sha256(steps).hexdigest() == _FULL_LENGTH_STEPS[(corpus, kind, verify_base)]
+
+
+# speedup_sim (default cost model, n=5, k=7, 200-token prompt, 1,000 new
+# tokens) with every draft run to k_draft; the cost-aware length must not
+# fall below any of them, and lifts shuffled text above 1.
+_FULL_LENGTH_SPEEDUP = {
+    ("shuffled.txt", "replay"): 0.9120826640038071,
+    ("shuffled.txt", "markov"): 4.862962962962861,
+    ("repetitive.txt", "replay"): 2.22754744989924,
+    ("repetitive.txt", "markov"): 4.999524036173146,
+    ("patterned_code.txt", "replay"): 3.376949043562067,
+    ("patterned_code.txt", "markov"): 5.949589351458387,
+}
+
+
+def _speedup(make, prompt):
+    opts = DecodeOptions(n_max=5, k_draft=7, max_new_tokens=1000)
+    base = baseline_decode(make(), prompt, opts)
+    return compute_metrics(speculative_decode(make(), prompt, opts), base).speedup_sim
+
+
+@pytest.mark.parametrize("corpus,kind", sorted(_FULL_LENGTH_SPEEDUP))
+def test_cost_aware_length_never_loses_speedup(corpus, kind):
+    prompt, make = _bundled_oracle(corpus, kind)
+    speedup = _speedup(make, prompt)
+    assert speedup >= _FULL_LENGTH_SPEEDUP[(corpus, kind)] - 1e-9
+    if corpus == "shuffled.txt":
+        assert speedup >= 1.0
+
+
+def test_cost_aware_length_pays_off_on_shuffled_text_over_tcp():
+    prompt, make = _bundled_oracle("shuffled.txt", "replay")
+    server = OracleServer(make)
+    server.start_background()
+    opened = []
+
+    def remote():
+        opened.append(ExternalOracle(server.address))
+        return opened[-1]
+
+    try:
+        assert _speedup(remote, prompt) == _speedup(make, prompt) >= 1.0
+    finally:
+        for oracle in opened:
+            oracle.close()
+        server.shutdown()
 
 
 def test_external_style_oracle_without_truncate_is_rolled_back():

@@ -43,6 +43,26 @@ def test_replay_eos_after_exhaustion():
     assert o.extend([5, 5, 5]) == [EOS, EOS, EOS]
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    target_len=st.integers(1, 12),
+    offset=st.integers(0, 20),
+    batch=st.integers(1, 20),
+)
+def test_replay_extend_matches_per_position_rule(target_len, offset, batch):
+    """The prediction after c consumed tokens is script[c], or eos past the
+    script's end, for batches inside the script and across its end."""
+    target = list(range(10, 10 + target_len))
+    script = [1, 2, 3] + target
+    o = scripted(target)
+    if offset:
+        o.extend([0] * offset)
+    expected = [script[p] if p < len(script) else EOS
+                for p in range(offset + 1, offset + batch + 1)]
+    assert o.extend([0] * batch) == expected
+    assert o.consumed_len == offset + batch
+
+
 def test_replay_requires_target():
     with pytest.raises(ValueError):
         ReplayOracle([1], [], eos=EOS)

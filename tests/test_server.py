@@ -1,6 +1,7 @@
 import json
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from specdec.oracle import (
 )
 from specdec.bundled import bundled_bytes
 from specdec.decoding import DecodeOptions, speculative_decode
+from specdec import server as server_module
 from specdec.server import MAX_LINE_BYTES, OracleServer, _handle_request
 from specdec.tokenizer import byte_vocab, encode
 
@@ -260,6 +262,39 @@ def test_over_long_request_line_is_refused_and_connection_closed(markov_server):
         reply = json.loads(f.readline())
         assert reply["ok"] is False and "over" in reply["error"]
         assert f.readline() == b""  # closed
+
+
+def test_connections_over_the_cap_are_refused(monkeypatch):
+    monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 1)
+    corpus = [i % 7 for i in range(50)]
+    server = OracleServer(lambda: MarkovOracle(corpus, order=2, seed=5))
+    server.start_background()
+    try:
+        first = ExternalOracle(server.address)
+        with pytest.raises(OracleError):
+            ExternalOracle(server.address)
+        host, port = server.address.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            f = sock.makefile("rwb")
+            reply = json.loads(f.readline())
+            assert reply["ok"] is False and "busy" in reply["error"]
+            assert f.readline() == b""  # closed
+        local = MarkovOracle(corpus, order=2, seed=5)
+        assert first.extend([1, 2, 3]) == local.extend([1, 2, 3])
+        first.close()
+        # the slot frees once the server's handler sees the close
+        deadline = time.monotonic() + 5
+        while True:
+            try:
+                later = ExternalOracle(server.address)
+                break
+            except OracleError:
+                assert time.monotonic() < deadline, "slot not freed after the first client closed"
+                time.sleep(0.01)
+        assert later.extend([1, 2, 3]) == MarkovOracle(corpus, order=2, seed=5).extend([1, 2, 3])
+        later.close()
+    finally:
+        server.shutdown()
 
 
 def test_truncate_cache_is_checked_locally_and_sent_lazily(markov_server):
