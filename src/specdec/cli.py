@@ -7,7 +7,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -25,7 +25,7 @@ from .metrics import (
     sweep,
     write_sweep_csv,
 )
-from .oracle import CostModel, OracleError, OracleSpec, make_oracle
+from .oracle import DEFAULT_COST_MODEL, CostModel, OracleError, OracleSpec, make_oracle
 from .server import OracleServer
 from .tokenizer import (
     byte_vocab,
@@ -126,19 +126,14 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
         oracle_kind=oracle_raw.get("kind", "replay"),
         markov_order=int(oracle_raw.get("order", 2)),
         endpoint=oracle_raw.get("endpoint"),
-        decode=DecodeOptions(
-            n_max=int(decode_raw.get("n_max", 5)),
-            k_draft=int(decode_raw.get("k_draft", 7)),
-            max_new_tokens=int(decode_raw.get("max_new_tokens", 128)),
-            runtime_update=_flag(decode_raw, "runtime_update", True),
-            stop_at_eos=_flag(decode_raw, "stop_at_eos", True),
-            fixed_level_only=_flag(decode_raw, "fixed_level_only", False),
-        ),
-        cost=CostModel(
-            prefill_per_token=_cost(cost_raw, "prefill_per_token", 0.002),
-            verify_base=_cost(cost_raw, "verify_base", 1.0),
-            verify_per_token=_cost(cost_raw, "verify_per_token", 0.05),
-        ),
+        decode=DecodeOptions(**{
+            key: _flag(decode_raw, key, default) if isinstance(default, bool)
+            else int(decode_raw.get(key, default))
+            for key, default in asdict(DecodeOptions()).items()
+        }),
+        cost=CostModel(**{
+            key: _cost(cost_raw, key, default) for key, default in asdict(DEFAULT_COST_MODEL).items()
+        }),
         trace_path=raw.get("trace_path"),
         report_path=raw.get("report_path"),
     )

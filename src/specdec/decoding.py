@@ -196,17 +196,10 @@ def verify_step(oracle, carried: int, drafted: list[int]) -> tuple[int, int, lis
     return accepted, preds[accepted], preds
 
 
-def _align_oracle(oracle, committed: list[int], target_len: int) -> None:
+def _align_oracle(oracle, target_len: int) -> None:
     # Roll back tokens the verify call consumed beyond what was committed.
-    if oracle.consumed_len == target_len:
-        return
-    truncate = getattr(oracle, "truncate_cache", None)
-    if truncate is not None:
-        truncate(target_len)
-    else:
-        oracle.reset()
-        if target_len:
-            oracle.extend(list(committed[:target_len]))
+    if oracle.consumed_len != target_len:
+        oracle.truncate_cache(target_len)
 
 
 def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
@@ -259,7 +252,7 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
         )
         paid = _paying_length(full_levels, hits, reached, cm)
         drafted, levels = full[:paid], full_levels[:paid]
-        _align_oracle(oracle, store.committed, len(store.committed) - 1)
+        _align_oracle(oracle, len(store.committed) - 1)
         try:
             accepted, next_carried, _ = verify_step(oracle, carried, drafted)
         except OracleError as exc:

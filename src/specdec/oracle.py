@@ -3,16 +3,16 @@
 An oracle owns a cache of consumed tokens. `extend(tokens)` consumes the
 batch and returns one greedy prediction per consumed position; for the same
 total consumed prefix the predictions are identical no matter how the
-prefix was chunked into calls. Every oracle here also supports
-`truncate_cache(length)`, so a decoder can roll back rejected draft tokens
-without replaying the committed prefix: in-process oracles in O(1),
-`ExternalOracle` by sending the position with its next `extend` (or by
-reset-and-replay against a server that does not take one). Oracles without
-`truncate_cache` are rolled back by the decoder with reset-and-replay.
+prefix was chunked into calls. `reset()` empties the cache, and
+`truncate_cache(length)` keeps only its first `length` tokens; the decoder
+rolls back rejected draft tokens with it. Both are part of the contract:
+in-process oracles truncate in O(1), `ExternalOracle` by sending the
+position with its next `extend`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import socket
@@ -204,9 +204,9 @@ class ExternalOracle:
     One request in flight per connection. `truncate_cache` sends nothing:
     it records the position, and the next `extend` carries it as `"at"`, so
     the server truncates and extends in one round trip; a bad position
-    shows up as an error of that `extend`. Against a server whose `info`
-    does not advertise `at`, the client keeps the tokens it has sent and
-    truncates by reset-and-replay of them.
+    shows up as an error of that `extend`. A server whose `info` does not
+    say `"at": true` is refused with `OracleProtocolError`: it would ignore
+    the position and answer for the wrong prefix.
     """
 
     def __init__(self, endpoint: str, *, timeout: float = 10.0) -> None:
@@ -221,15 +221,20 @@ class ExternalOracle:
         self.endpoint = endpoint
         self._consumed = 0
         self._at: int | None = None  # truncation the next extend carries
-        info = self._request({"op": "info"})
         try:
-            self.vocab_size = int(info["vocab_size"])
-            eos = int(info["eos"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise OracleProtocolError(f"bad info reply: {info!r}") from exc
+            info = self._request({"op": "info"})
+            try:
+                self.vocab_size = int(info["vocab_size"])
+                eos = int(info["eos"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise OracleProtocolError(f"bad info reply: {info!r}") from exc
+            if info.get("at") is not True:
+                raise OracleProtocolError(f"server does not offer 'at' truncation: {info!r}")
+        except BaseException:
+            with contextlib.suppress(OSError):  # a failed write leaves bytes to flush
+                self.close()
+            raise
         self.eos = None if eos < 0 else eos
-        # Tokens the server has consumed, kept only for reset-and-replay.
-        self._sent: list[int] | None = None if info.get("at") is True else []
 
     @property
     def consumed_len(self) -> int:
@@ -271,28 +276,18 @@ class ExternalOracle:
             raise OracleProtocolError(f"bad predictions for batch of {len(tokens)}: {preds!r}")
         self._at = None
         self._consumed += len(tokens)
-        if self._sent is not None:
-            self._sent.extend(tokens)
         return preds
 
     def reset(self) -> None:
         self._request({"op": "reset"})
         self._consumed = 0
         self._at = None
-        if self._sent is not None:
-            self._sent.clear()
 
     def truncate_cache(self, length: int) -> None:
         if not (0 <= length <= self._consumed):
             raise ValueError(f"cannot truncate cache of {self._consumed} to {length}")
-        if self._sent is None:
-            self._at = length
-            self._consumed = length
-        elif length < self._consumed:
-            replay = self._sent[:length]
-            self.reset()
-            if replay:
-                self.extend(replay)
+        self._at = length
+        self._consumed = length
 
     def close(self) -> None:
         try:

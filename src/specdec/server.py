@@ -8,10 +8,11 @@ error reply and the connection is closed. At most MAX_CONNECTIONS
 connections are served at once; one over the cap gets an error line and is
 closed without a thread being started for it.
 
-When the served oracle has `truncate_cache`, `info` says `"at": true` and an
-`extend` may carry `"at": L`: the oracle is truncated to L consumed tokens
-and then extended, so a client rolls back a rejected draft in the same
-round trip that verifies the next one.
+An `extend` may carry `"at": L`: the oracle is truncated to L consumed
+tokens and then extended, so a client rolls back a rejected draft in the
+same round trip that verifies the next one. `info` says `"at": true`;
+clients refuse a server that does not. The served oracle must have
+`truncate_cache`, as the oracle contract requires.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ log = logging.getLogger("specdec.server")
 __all__ = ["OracleServer", "MAX_LINE_BYTES", "MAX_CONNECTIONS"]
 
 
-# The largest request an in-repo client sends is a whole committed prefix
-# (prompt + output) in one `extend`: ExternalOracle's reset-and-replay
-# rollback against a server without `at`. The benchmark's TCP decode sends
-# up to 1,600 ids, the bundled demo config run against a served oracle up to
-# 1,800. An id of up to 7 digits plus its ", " separator takes at most 9
-# bytes, so 1 MiB holds over 116,000 ids, some 60 times the largest.
+# The largest request an in-repo client sends is the prompt prefill, one
+# `extend` of the whole prompt; every later one is a verify batch of at most
+# k_draft + 1 ids. The benchmark's TCP decode and the bundled demo config
+# both prefill 600 ids. An id of up to 7 digits plus its ", " separator
+# takes at most 9 bytes, so 1 MiB holds over 116,000 ids, some 190 times that.
 MAX_LINE_BYTES = 1 << 20
 
 # Each served connection holds a thread and an oracle instance; the cap
@@ -42,7 +42,7 @@ MAX_CONNECTIONS = 64
 
 def _handle_request(oracle, payload: bytes, vocab_size: int, truncate) -> dict:
     """One reply to one request line; `vocab_size` and `truncate` (the
-    oracle's `truncate_cache`, or None) are read from the oracle once per
+    oracle's `truncate_cache`) are read from the oracle once per
     connection, as a wrapped oracle forwards each lookup at some cost."""
     try:
         req = json.loads(payload)
@@ -66,8 +66,6 @@ def _handle_request(oracle, payload: bytes, vocab_size: int, truncate) -> dict:
                 }
             at = req.get("at")
             if at is not None:
-                if truncate is None:
-                    return {"ok": False, "error": "this oracle does not support 'at'"}
                 consumed = oracle.consumed_len
                 if type(at) is not int or not 0 <= at <= consumed:
                     return {
@@ -81,10 +79,7 @@ def _handle_request(oracle, payload: bytes, vocab_size: int, truncate) -> dict:
             return {"ok": True}
         if op == "info":
             eos = oracle.eos if oracle.eos is not None else -1
-            reply = {"ok": True, "vocab_size": vocab_size, "eos": eos}
-            if truncate is not None:
-                reply["at"] = True
-            return reply
+            return {"ok": True, "vocab_size": vocab_size, "eos": eos, "at": True}
         return {"ok": False, "error": f"unknown op {op!r}"}
     except Exception as exc:  # noqa: BLE001 - report, keep the connection alive
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
@@ -94,7 +89,7 @@ class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         oracle = self.server.oracle_factory()  # type: ignore[attr-defined]
         log.info("connection from %s:%s", *self.client_address)
-        vocab_size, truncate = oracle.vocab_size, getattr(oracle, "truncate_cache", None)
+        vocab_size, truncate = oracle.vocab_size, oracle.truncate_cache
         while True:
             line = self.rfile.readline(MAX_LINE_BYTES + 1)
             if not line:

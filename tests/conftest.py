@@ -46,19 +46,6 @@ def greedy_markov_continuation(corpus: list[int], order: int, seed: int,
     return out
 
 
-class WithoutTruncation:
-    """Forwards to an oracle but hides its `truncate_cache`: an oracle that
-    cannot roll back, served as an old server serves one (no `at`)."""
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-
-    def __getattr__(self, name):
-        if name == "truncate_cache":
-            raise AttributeError(name)
-        return getattr(self._inner, name)
-
-
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)

@@ -31,8 +31,6 @@ from specdec import (
 )
 from specdec.bundled import bundled_bytes
 
-from conftest import WithoutTruncation
-
 FLAT = CostModel(prefill_per_token=0.0, verify_base=1.0, verify_per_token=0.0)
 
 
@@ -235,30 +233,26 @@ def test_criterion_9_wire_protocol_differential():
     with criterion(9, "served oracle matches in-process oracle"):
         corpus = [i % 13 for i in range(400)]
         make = lambda: MarkovOracle(corpus, order=2, seed=17)  # noqa: E731
-        # An oracle with truncate_cache is served with `at`; one without it
-        # makes the client roll back by reset-and-replay.
-        for factory, positioned in ((make, True), (lambda: WithoutTruncation(make()), False)):
-            server = OracleServer(factory)
-            server.start_background()
-            try:
-                remote = ExternalOracle(server.address)
-                assert remote._request({"op": "info"}).get("at", False) is positioned
-                local = make()
-                rng = random.Random(99)
-                for script in range(100):
-                    for _ in range(rng.randint(1, 10)):
-                        roll = rng.random()
-                        if roll < 0.15:
-                            remote.reset()
-                            local.reset()
-                        elif roll < 0.45:
-                            length = rng.randint(0, local.consumed_len)
-                            remote.truncate_cache(length)
-                            local.truncate_cache(length)
-                        else:
-                            batch = [rng.randrange(13) for _ in range(rng.randint(1, 6))]
-                            assert remote.extend(batch) == local.extend(batch)
-                        assert remote.consumed_len == local.consumed_len
-                remote.close()
-            finally:
-                server.shutdown()
+        server = OracleServer(make)
+        server.start_background()
+        try:
+            remote = ExternalOracle(server.address)
+            local = make()
+            rng = random.Random(99)
+            for script in range(100):
+                for _ in range(rng.randint(1, 10)):
+                    roll = rng.random()
+                    if roll < 0.15:
+                        remote.reset()
+                        local.reset()
+                    elif roll < 0.45:
+                        length = rng.randint(0, local.consumed_len)
+                        remote.truncate_cache(length)
+                        local.truncate_cache(length)
+                    else:
+                        batch = [rng.randrange(13) for _ in range(rng.randint(1, 6))]
+                        assert remote.extend(batch) == local.extend(batch)
+                    assert remote.consumed_len == local.consumed_len
+            remote.close()
+        finally:
+            server.shutdown()

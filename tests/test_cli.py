@@ -4,9 +4,9 @@ import threading
 import pytest
 
 from specdec.bundled import bundled_path
-from specdec.cli import main
-from specdec.decoding import DecodeResult, DecodeTotals
-from specdec.oracle import ExternalOracle, MarkovOracle
+from specdec.cli import load_config, main
+from specdec.decoding import DecodeOptions, DecodeResult, DecodeTotals
+from specdec.oracle import DEFAULT_COST_MODEL, ExternalOracle, MarkovOracle
 
 
 DEMO = str(bundled_path("demo_run.json"))
@@ -124,6 +124,14 @@ def test_run_non_object_section_exits_1(tmp_path, capsys, section):
     code, _, err = run_cli(capsys, "run", "--config", str(cfg))
     assert code == 1
     assert section in err
+
+
+def test_corpus_only_config_loads_the_library_defaults(tmp_path):
+    cfg = tmp_path / "minimal.json"
+    cfg.write_text(json.dumps({"corpus": "bundled:repetitive.txt"}))
+    loaded = load_config(str(cfg))
+    assert loaded.decode == DecodeOptions()
+    assert loaded.cost == DEFAULT_COST_MODEL
 
 
 def test_run_losslessness_violation_exits_2(monkeypatch, capsys):

@@ -483,36 +483,6 @@ def test_cost_aware_length_pays_off_on_shuffled_text_over_tcp():
         server.shutdown()
 
 
-def test_external_style_oracle_without_truncate_is_rolled_back():
-    class NoTruncateOracle:
-        # same contract as ReplayOracle minus truncate_cache
-        def __init__(self, prompt, target):
-            self._inner = replay(prompt, target)
-            self.eos = self._inner.eos
-            self.extend_log = []
-
-        @property
-        def consumed_len(self):
-            return self._inner.consumed_len
-
-        def extend(self, tokens):
-            self.extend_log.append(list(tokens))
-            return self._inner.extend(tokens)
-
-        def reset(self):
-            self._inner.reset()
-
-    prompt = [1, 2, 1, 2]
-    target = [1, 2, 1, 3] * 10
-    opts = DecodeOptions(n_max=2, k_draft=3, max_new_tokens=16)
-    base = baseline_decode(replay(prompt, target), prompt, opts, FLAT)
-    o = NoTruncateOracle(prompt, target)
-    res = speculative_decode(o, prompt, opts, FLAT)
-    assert res.output == base.output
-    # rejected suffixes forced at least one reset-and-replay
-    assert any(len(batch) > opts.k_draft + 1 for batch in o.extend_log)
-
-
 def test_decode_options_validation():
     with pytest.raises(ValueError):
         DecodeOptions(n_max=1).validate()

@@ -1,7 +1,9 @@
+import gc
 import json
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +24,8 @@ from specdec import server as server_module
 from specdec.server import MAX_LINE_BYTES, OracleServer, _handle_request
 from specdec.tokenizer import byte_vocab, encode
 
-from conftest import WithoutTruncation
 
-
-@pytest.fixture
+@pytest.fixture(scope="module")
 def markov_server():
     corpus = [i % 7 for i in range(50)]
     server = OracleServer(lambda: MarkovOracle(corpus, order=2, seed=5))
@@ -52,18 +52,34 @@ def test_info_reports_vocab_and_eos(markov_server):
     assert replies[0] == {"ok": True, "vocab_size": max(corpus) + 1, "eos": -1, "at": True}
 
 
-def test_info_omits_at_for_an_oracle_without_truncation():
-    corpus = [i % 7 for i in range(50)]
-    server = OracleServer(lambda: WithoutTruncation(MarkovOracle(corpus, order=2, seed=5)))
-    server.start_background()
-    try:
-        replies = raw_exchange(
-            server.address, [b'{"op":"info"}', b'{"op":"extend","tokens":[1],"at":0}']
-        )
-    finally:
-        server.shutdown()
-    assert replies[0] == {"ok": True, "vocab_size": 7, "eos": -1}
-    assert replies[1]["ok"] is False and "'at'" in replies[1]["error"]
+def test_server_without_at_is_refused_and_the_socket_closed():
+    # A server that ignored `at` would answer for the untruncated prefix.
+    lst = socket.socket()
+    lst.bind(("127.0.0.1", 0))
+    lst.listen(1)
+    host, port = lst.getsockname()
+    client_closed = threading.Event()
+
+    def old_server():
+        conn, _ = lst.accept()
+        f = conn.makefile("rwb")
+        f.readline()  # info
+        f.write(json.dumps({"ok": True, "vocab_size": 10, "eos": -1}).encode() + b"\n")
+        f.flush()
+        if f.readline() == b"":
+            client_closed.set()
+        f.close()
+        conn.close()
+
+    threading.Thread(target=old_server, daemon=True).start()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(OracleProtocolError, match="'at'"):
+            ExternalOracle(f"{host}:{port}")
+        gc.collect()  # an unclosed socket warns when it is collected
+    assert client_closed.wait(5)
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    lst.close()
 
 
 def test_extend_reset_round_trip_matches_in_process(markov_server):
@@ -146,6 +162,8 @@ def test_protocol_violation_is_distinct():
                 break
             f.write(b"garbage garbage\n")
             f.flush()
+        f.close()
+        conn.close()
 
     t = threading.Thread(target=bad_server, daemon=True)
     t.start()
@@ -164,11 +182,12 @@ def test_transport_error_mid_stream_names_position():
         conn, _ = lst.accept()
         f = conn.makefile("rwb")
         f.readline()  # info
-        f.write(json.dumps({"ok": True, "vocab_size": 10, "eos": -1}).encode() + b"\n")
+        f.write(json.dumps({"ok": True, "vocab_size": 10, "eos": -1, "at": True}).encode() + b"\n")
         f.flush()
         f.readline()  # first extend
         f.write(json.dumps({"ok": True, "predictions": [1, 2]}).encode() + b"\n")
         f.flush()
+        f.close()
         conn.close()  # die before the second request
 
     t = threading.Thread(target=one_shot_server, daemon=True)
@@ -177,6 +196,7 @@ def test_transport_error_mid_stream_names_position():
     assert remote.extend([4, 4]) == [1, 2]
     with pytest.raises(OracleTransportError, match="2 consumed"):
         remote.extend([5])
+    remote.close()
     lst.close()
 
 
@@ -190,16 +210,20 @@ def test_wrong_prediction_count_is_protocol_error():
         conn, _ = lst.accept()
         f = conn.makefile("rwb")
         f.readline()
-        f.write(json.dumps({"ok": True, "vocab_size": 10, "eos": -1}).encode() + b"\n")
+        f.write(json.dumps({"ok": True, "vocab_size": 10, "eos": -1, "at": True}).encode() + b"\n")
         f.flush()
         f.readline()
         f.write(json.dumps({"ok": True, "predictions": [1]}).encode() + b"\n")
         f.flush()
+        f.readline()  # until the client closes
+        f.close()
+        conn.close()
 
     threading.Thread(target=short_server, daemon=True).start()
     remote = ExternalOracle(f"{host}:{port}")
     with pytest.raises(OracleProtocolError):
         remote.extend([4, 4])
+    remote.close()
     lst.close()
 
 
@@ -337,8 +361,7 @@ class _CountingOracle:
         return getattr(self._inner, name)
 
 
-@pytest.mark.parametrize("positioned", [True, False], ids=["at", "reset-replay"])
-def test_speculative_decode_over_tcp_matches_in_process(positioned):
+def test_speculative_decode_over_tcp_matches_in_process():
     vocab = byte_vocab()
     ids = encode(bundled_bytes("shuffled.txt"), vocab, "byte")
     prompt, target = ids[:300], ids[300:]
@@ -348,8 +371,7 @@ def test_speculative_decode_over_tcp_matches_in_process(positioned):
         lambda: MarkovOracle(ids, order=3, seed=11),
     ):
         counts = {"extend": 0, "reset": 0}
-        served = lambda: _CountingOracle(make(), counts)  # noqa: E731
-        server = OracleServer(served if positioned else lambda: WithoutTruncation(served()))
+        server = OracleServer(lambda: _CountingOracle(make(), counts))
         server.start_background()
         try:
             remote = ExternalOracle(server.address)
@@ -364,12 +386,8 @@ def test_speculative_decode_over_tcp_matches_in_process(positioned):
         assert over_tcp.prefill_sim_time == in_process.prefill_sim_time
         rollbacks = sum(1 for s in in_process.steps if s.accepted_count < len(s.drafted))
         assert rollbacks > 0
-        if positioned:
-            # one request per model call: rollbacks ride on the next extend
-            assert counts == {"extend": in_process.totals.llm_calls, "reset": 1}
-        else:
-            assert counts["reset"] > 1
-            assert counts["extend"] > in_process.totals.llm_calls
+        # one request per model call: rollbacks ride on the next extend
+        assert counts == {"extend": in_process.totals.llm_calls, "reset": 1}
 
 
 _OPS = st.lists(
@@ -382,44 +400,31 @@ _OPS = st.lists(
 )
 
 
-@pytest.fixture(scope="module")
-def both_servers():
-    corpus = [i % 7 for i in range(50)]
-    make = lambda: MarkovOracle(corpus, order=2, seed=5)  # noqa: E731
-    servers = [OracleServer(make), OracleServer(lambda: WithoutTruncation(make()))]
-    for server in servers:
-        server.start_background()
-    yield make, servers
-    for server in servers:
-        server.shutdown()
-
-
 @settings(max_examples=60, deadline=None)
 @given(script=_OPS)
-def test_extend_truncate_reset_scripts_match_in_process(both_servers, script):
-    make, servers = both_servers
-    for server in servers:
-        remote = ExternalOracle(server.address)
-        local = make()
-        try:
-            for op, arg in script:
-                if op == "extend":
-                    assert remote.extend(arg) == local.extend(arg)
-                elif op == "reset":
-                    remote.reset()
-                    local.reset()
-                else:
-                    # one past the end is out of range for both
-                    length = arg % (local.consumed_len + 2)
-                    if length > local.consumed_len:
-                        with pytest.raises(ValueError):
-                            remote.truncate_cache(length)
-                    else:
+def test_extend_truncate_reset_scripts_match_in_process(markov_server, script):
+    server, corpus = markov_server
+    remote = ExternalOracle(server.address)
+    local = MarkovOracle(corpus, order=2, seed=5)
+    try:
+        for op, arg in script:
+            if op == "extend":
+                assert remote.extend(arg) == local.extend(arg)
+            elif op == "reset":
+                remote.reset()
+                local.reset()
+            else:
+                # one past the end is out of range for both
+                length = arg % (local.consumed_len + 2)
+                if length > local.consumed_len:
+                    with pytest.raises(ValueError):
                         remote.truncate_cache(length)
-                        local.truncate_cache(length)
-                assert remote.consumed_len == local.consumed_len
-        finally:
-            remote.close()
+                else:
+                    remote.truncate_cache(length)
+                    local.truncate_cache(length)
+            assert remote.consumed_len == local.consumed_len
+    finally:
+        remote.close()
 
 
 _JSON = st.recursive(
