@@ -55,7 +55,7 @@ class RunConfig:
     prompt_tokens: int
     tokenizer_mode: str
     vocab_path: str | None
-    bpe_train_size: int | None
+    bpe_train_size: int
     oracle_kind: str
     markov_order: int
     endpoint: str | None
@@ -69,6 +69,15 @@ def _flag(decode_raw: dict, key: str, default: bool) -> bool:
     value = decode_raw.get(key, default)
     if not isinstance(value, bool):
         raise ConfigError(f"decode.{key} must be true or false, got {value!r}")
+    return value
+
+
+def _int(obj: dict, section: str, key: str, default: int) -> int:
+    value = obj.get(key, default)
+    # type(), not isinstance(): JSON true and false load as bools, which are ints
+    if type(value) is not int:
+        name = f"{section}.{key}" if section else key
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value
 
 
@@ -117,18 +126,18 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     decode_raw, oracle_raw, tok_raw, cost_raw = _sections(raw)
 
     cfg = RunConfig(
-        seed=int(raw.get("seed", 0)),
+        seed=_int(raw, "", "seed", 0),
         corpus_ref=raw.get("corpus", ""),
-        prompt_tokens=int(raw.get("prompt_tokens", 64)),
+        prompt_tokens=_int(raw, "", "prompt_tokens", 64),
         tokenizer_mode=tok_raw.get("mode", "byte"),
         vocab_path=tok_raw.get("vocab_path"),
-        bpe_train_size=tok_raw.get("train_size"),
+        bpe_train_size=_int(tok_raw, "tokenizer", "train_size", 512),
         oracle_kind=oracle_raw.get("kind", "replay"),
-        markov_order=int(oracle_raw.get("order", 2)),
+        markov_order=_int(oracle_raw, "oracle", "order", 2),
         endpoint=oracle_raw.get("endpoint"),
         decode=DecodeOptions(**{
             key: _flag(decode_raw, key, default) if isinstance(default, bool)
-            else int(decode_raw.get(key, default))
+            else _int(decode_raw, "decode", key, default)
             for key, default in asdict(DecodeOptions()).items()
         }),
         cost=CostModel(**{
@@ -175,7 +184,7 @@ def _build_vocab(mode: str, vocab_path: str | None, train_size: int, corpus: byt
 
 def _build_run(cfg: RunConfig) -> tuple[list[int], OracleSpec, object]:
     corpus = resolve_corpus_ref(cfg.corpus_ref)
-    vocab = _build_vocab(cfg.tokenizer_mode, cfg.vocab_path, cfg.bpe_train_size or 512, corpus)
+    vocab = _build_vocab(cfg.tokenizer_mode, cfg.vocab_path, cfg.bpe_train_size, corpus)
     ids = encode(corpus, vocab, cfg.tokenizer_mode)
     if len(ids) <= cfg.prompt_tokens:
         raise ConfigError(
@@ -236,6 +245,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "fixed_level_only": cfg.decode.fixed_level_only,
         "output_len": len(accel.output),
         "llm_calls": accel.totals.llm_calls,
+        "rollbacks": accel.totals.rollbacks,
         "baseline_llm_calls": base.totals.llm_calls,
         "metrics": metrics.to_json(),
     }

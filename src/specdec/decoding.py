@@ -79,6 +79,7 @@ class DecodeTotals:
     proposed_draft_tokens: int = 0
     accepted_draft_tokens: int = 0
     llm_calls: int = 0
+    rollbacks: int = 0  # truncations: one per verify step, bar the last, that rejected a token
 
 
 @dataclass
@@ -196,10 +197,13 @@ def verify_step(oracle, carried: int, drafted: list[int]) -> tuple[int, int, lis
     return accepted, preds[accepted], preds
 
 
-def _align_oracle(oracle, target_len: int) -> None:
-    # Roll back tokens the verify call consumed beyond what was committed.
-    if oracle.consumed_len != target_len:
-        oracle.truncate_cache(target_len)
+def _align_oracle(oracle, target_len: int) -> bool:
+    """Roll back tokens the verify call consumed beyond what was committed;
+    True when there were any."""
+    if oracle.consumed_len == target_len:
+        return False
+    oracle.truncate_cache(target_len)
+    return True
 
 
 def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
@@ -252,7 +256,7 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
         )
         paid = _paying_length(full_levels, hits, reached, cm)
         drafted, levels = full[:paid], full_levels[:paid]
-        _align_oracle(oracle, len(store.committed) - 1)
+        totals.rollbacks += _align_oracle(oracle, len(store.committed) - 1)
         try:
             accepted, next_carried, _ = verify_step(oracle, carried, drafted)
         except OracleError as exc:

@@ -12,11 +12,12 @@ position with its next `extend`.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import socket
 from dataclasses import dataclass, field
+
+from .server import MAX_LINE_BYTES
 
 __all__ = [
     "OracleError",
@@ -48,6 +49,11 @@ class OracleTransportError(OracleError):
 
 class OracleProtocolError(OracleError):
     """The remote peer violated the wire protocol."""
+
+
+# A verify reply is some 60 bytes and a 600-token prefill's about 3 KB, so
+# one recv of this size almost always holds the whole reply line.
+_RECV_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -201,12 +207,18 @@ class MarkovOracle:
 class ExternalOracle:
     """Client for the newline-delimited JSON oracle protocol.
 
-    One request in flight per connection. `truncate_cache` sends nothing:
-    it records the position, and the next `extend` carries it as `"at"`, so
-    the server truncates and extends in one round trip; a bad position
-    shows up as an error of that `extend`. A server whose `info` does not
-    say `"at": true` is refused with `OracleProtocolError`: it would ignore
-    the position and answer for the wrong prefix.
+    One request in flight per connection. Each request is one line written
+    with one `sendall`, and its reply line is read with `recv`. A reply line
+    over `MAX_LINE_BYTES` is refused with `OracleProtocolError` and the
+    socket closed, so a server that never sends a newline cannot grow the
+    client's memory without limit.
+
+    `truncate_cache` sends nothing: it records the position, and the next
+    `extend` carries it as `"at"`, so the server truncates and extends in
+    one round trip; a bad position shows up as an error of that `extend`.
+    A server whose `info` does not say `"at": true` is refused with
+    `OracleProtocolError`: it would ignore the position and answer for the
+    wrong prefix.
     """
 
     def __init__(self, endpoint: str, *, timeout: float = 10.0) -> None:
@@ -217,7 +229,6 @@ class ExternalOracle:
             self._sock = socket.create_connection((host, int(port)), timeout=timeout)
         except OSError as exc:
             raise OracleConnectError(f"cannot connect to {endpoint}: {exc}") from exc
-        self._file = self._sock.makefile("rwb")
         self.endpoint = endpoint
         self._consumed = 0
         self._at: int | None = None  # truncation the next extend carries
@@ -231,8 +242,7 @@ class ExternalOracle:
             if info.get("at") is not True:
                 raise OracleProtocolError(f"server does not offer 'at' truncation: {info!r}")
         except BaseException:
-            with contextlib.suppress(OSError):  # a failed write leaves bytes to flush
-                self.close()
+            self.close()
             raise
         self.eos = None if eos < 0 else eos
 
@@ -241,37 +251,63 @@ class ExternalOracle:
         return self._consumed
 
     def _request(self, payload: dict) -> dict:
+        return self._exchange(json.dumps(payload).encode("utf-8") + b"\n")
+
+    def _exchange(self, line: bytes) -> dict:
+        """Send one request line and return its checked reply object."""
         try:
-            self._file.write(json.dumps(payload).encode("utf-8") + b"\n")
-            self._file.flush()
-            line = self._file.readline()
+            self._sock.sendall(line)
+            reply_line = self._read_line()
         except OSError as exc:
             raise OracleTransportError(
                 f"transport failure after {self._consumed} consumed tokens: {exc}"
             ) from exc
-        if not line:
-            raise OracleTransportError(
-                f"server closed the connection after {self._consumed} consumed tokens"
-            )
         try:
-            reply = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise OracleProtocolError(f"unparseable reply: {line[:200]!r}") from exc
+            reply = json.loads(reply_line)
+        except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError on non-UTF-8
+            raise OracleProtocolError(f"unparseable reply: {bytes(reply_line[:200])!r}") from exc
         if not isinstance(reply, dict) or "ok" not in reply:
             raise OracleProtocolError(f"malformed reply: {reply!r}")
         if not reply["ok"]:
             raise OracleError(f"server error: {reply.get('error', 'unspecified')}")
         return reply
 
+    def _read_line(self) -> bytes | bytearray:
+        """The reply line. One request is in flight, so its reply ends the
+        bytes received: they are read up to the first chunk that holds a
+        newline, and `json.loads` refuses any bytes after that newline."""
+        chunk = self._sock.recv(_RECV_BYTES)
+        if chunk.endswith(b"\n"):
+            return chunk  # the whole reply in one segment, the common case
+        buf = bytearray(chunk)
+        while b"\n" not in chunk:
+            if not chunk:
+                if buf:
+                    raise OracleProtocolError(f"reply cut short: {bytes(buf[:200])!r}")
+                raise OracleTransportError(
+                    f"server closed the connection after {self._consumed} consumed tokens"
+                )
+            chunk = self._sock.recv(_RECV_BYTES)
+            buf += chunk
+            if len(buf) > MAX_LINE_BYTES:
+                self.close()  # mid-line: the stream cannot be resynced
+                raise OracleProtocolError(f"reply line over {MAX_LINE_BYTES} bytes")
+        return buf
+
     def extend(self, tokens: list[int]) -> list[int]:
         _check_batch(tokens)
-        request = {"op": "extend", "tokens": list(tokens)}
-        if self._at is not None:
-            request["at"] = self._at
-        reply = self._request(request)
-        preds = reply.get("predictions")
+        # Byte-identical to json.dumps for int ids and positions. repr, not
+        # str: a str id stays a quoted string and a bool reads True, which
+        # the server refuses, so neither is ever taken as an id.
+        ids = ", ".join(map(repr, tokens))
+        if self._at is None:
+            line = '{"op": "extend", "tokens": [%s]}\n' % ids
+        else:
+            line = '{"op": "extend", "tokens": [%s], "at": %r}\n' % (ids, self._at)
+        preds = self._exchange(line.encode()).get("predictions")
+        # type(), not isinstance(): JSON true and false load as bools, which are ints
         if not isinstance(preds, list) or len(preds) != len(tokens) or not all(
-            isinstance(p, int) for p in preds
+            type(p) is int for p in preds
         ):
             raise OracleProtocolError(f"bad predictions for batch of {len(tokens)}: {preds!r}")
         self._at = None
@@ -290,10 +326,7 @@ class ExternalOracle:
         self._consumed = length
 
     def close(self) -> None:
-        try:
-            self._file.close()
-        finally:
-            self._sock.close()
+        self._sock.close()
 
 
 @dataclass(frozen=True)

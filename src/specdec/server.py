@@ -2,9 +2,11 @@
 
 Each connection gets its own oracle instance from the factory; connections
 never share cache state. Requests are handled strictly in order, one reply
-line per request line. Malformed requests get an error reply and the
-connection stays open; a request line longer than MAX_LINE_BYTES gets an
-error reply and the connection is closed. At most MAX_CONNECTIONS
+line per request line, each written with one `sendall`; a successful
+`extend` reply is formatted without `json.dumps`, byte-identical to it.
+Malformed requests get an error reply and the connection stays open; a
+request line longer than MAX_LINE_BYTES gets an error reply and the
+connection is closed. At most MAX_CONNECTIONS
 connections are served at once; one over the cap gets an error line and is
 closed without a thread being started for it.
 
@@ -28,11 +30,14 @@ log = logging.getLogger("specdec.server")
 __all__ = ["OracleServer", "MAX_LINE_BYTES", "MAX_CONNECTIONS"]
 
 
-# The largest request an in-repo client sends is the prompt prefill, one
-# `extend` of the whole prompt; every later one is a verify batch of at most
-# k_draft + 1 ids. The benchmark's TCP decode and the bundled demo config
-# both prefill 600 ids. An id of up to 7 digits plus its ", " separator
-# takes at most 9 bytes, so 1 MiB holds over 116,000 ids, some 190 times that.
+# Bounds a line in both directions: the server refuses a longer request and
+# `ExternalOracle` a longer reply, so neither peer's memory grows without
+# limit. The largest line an in-repo peer sends is the prompt prefill, one
+# `extend` of the whole prompt, and its reply; every later one is a verify
+# batch of at most k_draft + 1 ids. The benchmark's TCP decode and the
+# bundled demo config both prefill 600 ids. An id of up to 7 digits plus its
+# ", " separator takes at most 9 bytes, so 1 MiB holds over 116,000 ids,
+# some 190 times that.
 MAX_LINE_BYTES = 1 << 20
 
 # Each served connection holds a thread and an oracle instance; the cap
@@ -40,16 +45,20 @@ MAX_LINE_BYTES = 1 << 20
 MAX_CONNECTIONS = 64
 
 
-def _handle_request(oracle, payload: bytes, vocab_size: int, truncate) -> dict:
-    """One reply to one request line; `vocab_size` and `truncate` (the
+def _line(reply: dict) -> bytes:
+    return json.dumps(reply).encode("utf-8") + b"\n"
+
+
+def _handle_request(oracle, payload: bytes, vocab_size: int, truncate) -> bytes:
+    """The reply line to one request line; `vocab_size` and `truncate` (the
     oracle's `truncate_cache`) are read from the oracle once per
     connection, as a wrapped oracle forwards each lookup at some cost."""
     try:
         req = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        return {"ok": False, "error": f"malformed json: {exc}"}
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError on non-UTF-8
+        return _line({"ok": False, "error": f"malformed json: {exc}"})
     if not isinstance(req, dict) or "op" not in req:
-        return {"ok": False, "error": "request must be an object with an 'op' field"}
+        return _line({"ok": False, "error": "request must be an object with an 'op' field"})
     op = req["op"]
     try:
         if op == "extend":
@@ -60,29 +69,31 @@ def _handle_request(oracle, payload: bytes, vocab_size: int, truncate) -> dict:
                 or not tokens
                 or not all(type(t) is int and 0 <= t < vocab_size for t in tokens)
             ):
-                return {
+                return _line({
                     "ok": False,
                     "error": f"extend needs a non-empty list of token ids in [0, {vocab_size})",
-                }
+                })
             at = req.get("at")
             if at is not None:
                 consumed = oracle.consumed_len
                 if type(at) is not int or not 0 <= at <= consumed:
-                    return {
+                    return _line({
                         "ok": False,
                         "error": f"'at' must be an int in [0, {consumed}], got {at!r}",
-                    }
+                    })
                 truncate(at)
-            return {"ok": True, "predictions": oracle.extend(tokens)}
+            ids = ", ".join(map(repr, oracle.extend(tokens)))
+            # byte-identical to _line({"ok": True, "predictions": ...}) for int predictions
+            return ('{"ok": true, "predictions": [%s]}\n' % ids).encode()
         if op == "reset":
             oracle.reset()
-            return {"ok": True}
+            return _line({"ok": True})
         if op == "info":
             eos = oracle.eos if oracle.eos is not None else -1
-            return {"ok": True, "vocab_size": vocab_size, "eos": eos, "at": True}
-        return {"ok": False, "error": f"unknown op {op!r}"}
+            return _line({"ok": True, "vocab_size": vocab_size, "eos": eos, "at": True})
+        return _line({"ok": False, "error": f"unknown op {op!r}"})
     except Exception as exc:  # noqa: BLE001 - report, keep the connection alive
-        return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        return _line({"ok": False, "error": f"{type(exc).__name__}: {exc}"})
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -90,18 +101,15 @@ class _Handler(socketserver.StreamRequestHandler):
         oracle = self.server.oracle_factory()  # type: ignore[attr-defined]
         log.info("connection from %s:%s", *self.client_address)
         vocab_size, truncate = oracle.vocab_size, oracle.truncate_cache
+        send = self.connection.sendall
         while True:
             line = self.rfile.readline(MAX_LINE_BYTES + 1)
             if not line:
                 break
             if len(line) > MAX_LINE_BYTES:
-                self._reply({"ok": False, "error": f"request line over {MAX_LINE_BYTES} bytes"})
+                send(_line({"ok": False, "error": f"request line over {MAX_LINE_BYTES} bytes"}))
                 break
-            self._reply(_handle_request(oracle, line, vocab_size, truncate))
-
-    def _reply(self, reply: dict) -> None:
-        self.wfile.write(json.dumps(reply).encode("utf-8") + b"\n")
-        self.wfile.flush()
+            send(_handle_request(oracle, line, vocab_size, truncate))
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):
@@ -117,7 +125,7 @@ class _TCPServer(socketserver.ThreadingTCPServer):
             log.warning("refused %s:%s: %d connections open", *client_address[:2], MAX_CONNECTIONS)
             error = {"ok": False, "error": f"server busy: {MAX_CONNECTIONS} connections open"}
             try:
-                request.sendall(json.dumps(error).encode("utf-8") + b"\n")
+                request.sendall(_line(error))
             except OSError:
                 pass  # the client is gone; nothing to tell it
             self.shutdown_request(request)

@@ -40,8 +40,11 @@ def test_run_demo_config(tmp_path, capsys):
     summary = json.loads(out)
     assert summary["metrics"]["speedup_sim"] > 2.0
     assert trace.exists() and report.exists()
-    header = json.loads(trace.read_text().splitlines()[0])
+    header, *steps = map(json.loads, trace.read_text().splitlines())
     assert header["n"] == 5 and header["k"] == 7
+    verifies = [s for s in steps if s["batch"]]
+    rejecting = sum(1 for s in verifies[:-1] if s["accepted"] < len(s["drafted"]))
+    assert summary["rollbacks"] == rejecting > 0
     assert "speedup_sim" in report.read_text()
 
 
@@ -97,6 +100,22 @@ def test_run_bad_cost_exits_1(tmp_path, capsys, key, value):
     code, _, err = run_cli(capsys, "run", "--config", str(cfg))
     assert code == 1
     assert f"cost_model.{key}" in err
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [("", "seed"), ("", "prompt_tokens"), ("oracle", "order"), ("decode", "n_max"),
+     ("decode", "k_draft"), ("decode", "max_new_tokens"), ("tokenizer", "train_size")],
+)
+@pytest.mark.parametrize("value", [2.9, 4.0, "40", True, None])
+def test_run_non_int_setting_exits_1(tmp_path, capsys, section, key, value):
+    config = {"corpus": "bundled:repetitive.txt"}
+    (config.setdefault(section, {}) if section else config)[key] = value
+    cfg = tmp_path / "int.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 1
+    assert f"{section}.{key}".lstrip(".") + " must be an integer" in err
 
 
 @pytest.mark.parametrize(

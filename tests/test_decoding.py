@@ -278,6 +278,38 @@ def test_trace_consistency_invariants(rng):
     assert res.totals.llm_calls == 1 + call_steps
 
 
+class _TruncateCounter:
+    """Counts the truncate_cache calls an oracle receives."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.truncates = 0
+
+    def truncate_cache(self, length):
+        self.truncates += 1
+        self._inner.truncate_cache(length)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def test_rollbacks_count_the_non_final_verify_steps_that_rejected(rng):
+    seen = set()
+    for _ in range(40):
+        corpus = [rng.randrange(6) for _ in range(200)]
+        prompt = [rng.randrange(6) for _ in range(rng.randint(1, 10))]
+        opts = DecodeOptions(n_max=rng.randint(2, 5), k_draft=rng.randint(1, 7),
+                             max_new_tokens=rng.randint(0, 80))
+        eos = rng.choice([None, 5])  # a corpus token, so some decodes end at eos
+        oracle = _TruncateCounter(MarkovOracle(corpus, rng.randint(1, 3), rng.randrange(99), eos=eos))
+        res = speculative_decode(oracle, prompt, opts)
+        verifies = [s for s in res.steps if s.verify_batch_len]
+        rejecting = sum(1 for s in verifies[:-1] if s.accepted_count < len(s.drafted))
+        assert res.totals.rollbacks == rejecting == oracle.truncates
+        seen.add((rejecting > 0, bool(verifies) and verifies[-1] is not res.steps[-1]))
+    assert seen == {(False, False), (True, False), (True, True), (False, True)}
+
+
 def test_call_count_never_exceeds_baseline(rng):
     corpus = [rng.randrange(8) for _ in range(300)]
     prompt = [rng.randrange(8) for _ in range(6)]

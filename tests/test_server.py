@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import json
 import socket
@@ -98,11 +99,11 @@ def test_malformed_json_keeps_connection_open(markov_server):
     server, _ = markov_server
     replies = raw_exchange(
         server.address,
-        [b"this is not json", b'{"op":"info"}'],
+        [b"this is not json", b'{"op":"info"}\xff', b'{"op":"info"}'],
     )
-    assert replies[0]["ok"] is False
+    assert [r["ok"] for r in replies] == [False, False, True]  # still served after bad lines
     assert "malformed" in replies[0]["error"]
-    assert replies[1]["ok"] is True  # still served after the bad line
+    assert "utf-8" in replies[1]["error"]
 
 
 def test_unknown_op_and_bad_extend_are_reported(markov_server):
@@ -225,6 +226,147 @@ def test_wrong_prediction_count_is_protocol_error():
         remote.extend([4, 4])
     remote.close()
     lst.close()
+
+
+INFO_LINE = json.dumps({"ok": True, "vocab_size": 10, "eos": -1, "at": True}).encode() + b"\n"
+
+
+def one_connection_server(script):
+    """Serve one connection: for each step of `script`, read one request
+    line into the returned list, then send the step's bytes, or call the
+    step with the socket. Then read until the client closes and set the
+    returned event."""
+    lst = socket.socket()
+    lst.bind(("127.0.0.1", 0))
+    lst.listen(1)
+    host, port = lst.getsockname()
+    requests, client_closed = [], threading.Event()
+
+    def serve():
+        with lst:
+            conn, _ = lst.accept()
+        with conn, conn.makefile("rb") as f:
+            for step in script:
+                line = f.readline()
+                if not line:
+                    return
+                requests.append(line)
+                if callable(step):
+                    step(conn)
+                else:
+                    conn.sendall(step)
+            with contextlib.suppress(OSError):
+                while f.readline():
+                    pass
+            client_closed.set()
+
+    threading.Thread(target=serve, daemon=True).start()
+    return f"{host}:{port}", requests, client_closed
+
+
+def test_extend_lines_are_json_dumps_byte_for_byte(markov_server):
+    replies = [json.dumps({"ok": True, "predictions": [1] * n}).encode() + b"\n" for n in (600, 2)]
+    endpoint, requests, _ = one_connection_server([INFO_LINE, *replies])
+    remote = ExternalOracle(endpoint)
+    prefill = [0, 9, 255, 7_654_321, *range(596)]
+    remote.extend(prefill)
+    remote.truncate_cache(598)
+    remote.extend([3, 4])
+    remote.close()
+    assert requests[1:] == [
+        json.dumps({"op": "extend", "tokens": prefill}).encode() + b"\n",
+        json.dumps({"op": "extend", "tokens": [3, 4], "at": 598}).encode() + b"\n",
+    ]
+    # and the server's extend reply, read off the socket
+    server, corpus = markov_server
+    tokens = [t % 7 for t in prefill]
+    host, port = server.address.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5) as sock, sock.makefile("rb") as f:
+        sock.sendall(json.dumps({"op": "extend", "tokens": tokens}).encode() + b"\n")
+        expected = MarkovOracle(corpus, order=2, seed=5).extend(tokens)
+        assert f.readline() == json.dumps({"ok": True, "predictions": expected}).encode() + b"\n"
+
+
+class _OneByteAtATime:
+    """A socket whose recv returns at most one byte."""
+
+    def __init__(self, sock) -> None:
+        self._sock = sock
+
+    def recv(self, _bufsize):
+        return self._sock.recv(1)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_reply_in_one_byte_segments_decodes(markov_server):
+    server, corpus = markov_server
+    remote = ExternalOracle(server.address)
+    remote._sock = _OneByteAtATime(remote._sock)
+    local = MarkovOracle(corpus, order=2, seed=5)
+    assert remote.extend([1, 2, 3, 4, 5, 6]) == local.extend([1, 2, 3, 4, 5, 6])
+    remote.truncate_cache(2)
+    local.truncate_cache(2)
+    assert remote.extend([0]) == local.extend([0])
+    remote.reset()
+    assert remote.consumed_len == 0
+    remote.close()
+
+
+@pytest.mark.parametrize("reply", [b'{"ok": true, "predictions": [1', b'{"ok": true, "predictions": [1]}'])
+def test_reply_cut_by_eof_is_protocol_error(reply):
+    def send_and_close(conn):
+        conn.sendall(reply)
+        conn.shutdown(socket.SHUT_WR)
+
+    endpoint, _, _ = one_connection_server([INFO_LINE, send_and_close])
+    remote = ExternalOracle(endpoint)
+    with pytest.raises(OracleProtocolError, match="cut short"):
+        remote.extend([4])
+    remote.close()
+
+
+def test_over_long_reply_line_is_refused_and_the_socket_closed():
+    def stream_without_newline(conn):
+        chunk = b" " * (1 << 16)
+        with contextlib.suppress(OSError):  # the client closes mid-stream
+            for _ in range(MAX_LINE_BYTES // len(chunk) + 8):
+                conn.sendall(chunk)
+
+    endpoint, _, client_closed = one_connection_server([INFO_LINE, stream_without_newline])
+    remote = ExternalOracle(endpoint)
+    with pytest.raises(OracleProtocolError, match="over"):
+        remote.extend([4])
+    assert remote._sock.fileno() == -1  # closed by the client itself
+    assert client_closed.wait(5)
+    remote.close()
+
+
+@pytest.mark.parametrize("reply", [b'{"ok": true, "predictions": [true]}\n',
+                                   b'{"ok": true, "predictions": ["1"]}\n',
+                                   b'{"ok": true, "predictions": [1.0]}\n',
+                                   b'{"ok": true, "predictions": [1]}\n{"ok": true}\n',
+                                   b'\xff\n'])
+def test_bad_reply_is_protocol_error(reply):
+    endpoint, _, _ = one_connection_server([INFO_LINE, reply])
+    remote = ExternalOracle(endpoint)
+    with pytest.raises(OracleProtocolError):
+        remote.extend([4])
+    remote.close()
+
+
+@pytest.mark.parametrize("bad", [True, False, "1", "0", "1, 2", 1.0])
+def test_bool_or_str_token_is_refused_and_never_taken_as_an_id(markov_server, bad):
+    server, corpus = markov_server
+    remote = ExternalOracle(server.address)
+    local = MarkovOracle(corpus, order=2, seed=5)
+    assert remote.extend([1, 2]) == local.extend([1, 2])
+    with pytest.raises(OracleError):
+        remote.extend([3, bad])
+    # the refused request consumed nothing
+    assert remote.extend([3]) == local.extend([3])
+    remote.close()
 
 
 def test_server_side_oracle_error_is_reported(markov_server):
@@ -446,9 +588,10 @@ def test_handle_request_answers_every_request(request):
     corpus = [i % 7 for i in range(50)]
     oracle = MarkovOracle(corpus, order=2, seed=5)
     oracle.extend([1, 2, 3])
-    reply = _handle_request(oracle, json.dumps(request).encode(), 7, oracle.truncate_cache)
+    line = _handle_request(oracle, json.dumps(request).encode(), 7, oracle.truncate_cache)
+    reply = json.loads(line)
     assert isinstance(reply["ok"], bool)
-    json.dumps(reply)  # every reply can be sent
+    assert line == json.dumps(reply).encode() + b"\n"  # every reply line is json.dumps's
     if not reply["ok"]:
         assert isinstance(reply["error"], str)
         assert oracle.consumed_len == 3  # a refused request changes nothing
