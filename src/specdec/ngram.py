@@ -4,15 +4,20 @@ A store counts every window of orders 2..n_max over the committed token
 sequence; `update` commits a batch of tokens at once. Queries return the
 count argmax, ties going to the most recently reinforced token; there is no
 smoothing or probability output. `draft` is the decoder's one lookup path:
-it reads the argmax table directly, taking each token from the highest order
-whose context (the tail plus the tokens drafted so far) has been seen, and
-stops at the first context no allowed order has seen.
+it reads each row's argmax directly, taking each token from the highest
+order whose context (the tail plus the tokens drafted so far) has been seen,
+and stops at the first context no allowed order has seen.
 
 Rows map a context (n-1 tokens, so its length names the order) to {next:
-count}, and a second dict maps it to its argmax, kept in O(1) per counted
-window: the bumped token is the most recently reinforced one, so it becomes
-the argmax exactly when its new count is >= the argmax's count. `snapshot`
-reads the rows as they stand.
+count}, and each row keeps its own argmax under the key None, which no token
+can be. The argmax is kept in O(1) per counted window: the bumped token is
+the most recently reinforced one, so it becomes the argmax exactly when its
+new count is >= the argmax's count. A window index maps each window the
+store has counted (the up to n_max-1 tokens before a committed token) to
+the rows of its suffixes, longest first, so committing a token whose window
+was seen before is one lookup plus one count bump per order. Rows are never
+removed, so an indexed path never goes stale. `snapshot` reads the rows as
+they stand.
 """
 
 from __future__ import annotations
@@ -44,8 +49,10 @@ class NgramStore:
         self.n_max = n_max
         self.runtime_update = runtime_update
         self.committed: list[int] = []
-        self._rows: dict[tuple[int, ...], dict[int, int]] = {}
-        self._best: dict[tuple[int, ...], int] = {}
+        # a row's None key holds its argmax; every other key is a next token
+        self._rows: dict[tuple[int, ...], dict[int | None, int]] = {}
+        # window -> the rows of its suffixes, longest first
+        self._paths: dict[tuple[int, ...], tuple[dict[int | None, int], ...]] = {}
         self._commit(token_ids)
 
     def update(self, *tokens: int) -> None:
@@ -57,22 +64,34 @@ class NgramStore:
             self.committed.extend(tokens)
 
     def _commit(self, tokens) -> None:
-        seq, rows, best = self.committed, self._rows, self._best
+        seq, rows, paths = self.committed, self._rows, self._paths
         width = 1 - self.n_max
         for nxt in tokens:
             window = tuple(seq[width:])  # the n_max-1 tokens before nxt
             seq.append(nxt)
+            path = paths.get(window)
+            if path is not None:
+                for row in path:
+                    count = row[nxt] = row.get(nxt, 0) + 1
+                    top = row[None]
+                    if top != nxt and count >= row[top]:
+                        row[None] = nxt
+                continue
+            # A new window is counted and its path collected in one pass;
+            # a second pass over the path is slower on text that rarely repeats.
+            path = []
             for i in range(len(window)):
                 ctx = window[i:]
                 row = rows.get(ctx)
                 if row is None:
-                    rows[ctx] = {nxt: 1}
-                    best[ctx] = nxt
+                    row = rows[ctx] = {None: nxt, nxt: 1}
                 else:
                     count = row[nxt] = row.get(nxt, 0) + 1
-                    top = best[ctx]
+                    top = row[None]
                     if top != nxt and count >= row[top]:
-                        best[ctx] = nxt
+                        row[None] = nxt
+                path.append(row)
+            paths[window] = tuple(path)
 
     def query(self, context: list[int] | tuple[int, ...], n: int) -> int | None:
         """Count-argmax next token for the last n-1 tokens of `context`, or
@@ -85,9 +104,11 @@ class NgramStore:
             raise ValueError(f"query order {n} outside [2, {self.n_max}]")
         if len(context) < n - 1:
             raise ValueError(f"context of length {len(context)} too short for order {n}")
-        ctx = tuple(context[len(context) - (n - 1) :])
-        tok = self._best.get(ctx)
-        return None if tok is None else QueryHit(token=tok, level=n, count=self._rows[ctx][tok])
+        row = self._rows.get(tuple(context[len(context) - (n - 1) :]))
+        if row is None:
+            return None
+        tok = row[None]
+        return QueryHit(token=tok, level=n, count=row[tok])
 
     def query_multilevel(
         self, context_tail: list[int] | tuple[int, ...], *, min_level: int = 2
@@ -109,19 +130,20 @@ class NgramStore:
         min_level-1 tokens (min_level >= 2), of `tail` plus the tokens drafted
         so far that the store has seen; its level is that suffix's length
         plus one. Drafting stops at the first context with no such suffix."""
-        best = self._best
+        rows = self._rows
         width = self.n_max - 1
         ctx = tuple(tail[-width:])
         tokens, levels = [], []
         for _ in range(k):
             # m = n-1 context tokens; a context's length names its order
             m = len(ctx)
-            tok = best.get(ctx)
-            while tok is None and m >= min_level:
+            row = rows.get(ctx)
+            while row is None and m >= min_level:
                 m -= 1
-                tok = best.get(ctx[-m:])
-            if tok is None or m < min_level - 1:
+                row = rows.get(ctx[-m:])
+            if row is None or m < min_level - 1:
                 break
+            tok = row[None]
             tokens.append(tok)
             levels.append(m + 1)
             ctx = (ctx + (tok,))[-width:]
@@ -130,8 +152,9 @@ class NgramStore:
     def count_of(self, n: int, context: list[int] | tuple[int, ...], nxt: int) -> int:
         if not (2 <= n <= self.n_max):
             raise ValueError(f"order {n} outside [2, {self.n_max}]")
-        row = self._rows.get(tuple(context), {}) if len(context) == n - 1 else {}
-        return row.get(nxt, 0)
+        if nxt is None or len(context) != n - 1:
+            return 0  # None keys a row's argmax, not a count
+        return self._rows.get(tuple(context), {}).get(nxt, 0)
 
     def snapshot(self) -> dict:
         """JSON-friendly dump, entries ordered by (context, next) for
@@ -140,6 +163,7 @@ class NgramStore:
         for ctx in sorted(self._rows):
             row = self._rows[ctx]
             levels[len(ctx) + 1].extend(
-                {"context": list(ctx), "next": nxt, "count": row[nxt]} for nxt in sorted(row)
+                {"context": list(ctx), "next": nxt, "count": row[nxt]}
+                for nxt in sorted(row.keys() - {None})
             )
         return {"n_max": self.n_max, "levels": [{"n": n, "entries": e} for n, e in levels.items()]}

@@ -7,7 +7,9 @@ prefix was chunked into calls. `reset()` empties the cache, and
 `truncate_cache(length)` keeps only its first `length` tokens; the decoder
 rolls back rejected draft tokens with it. Both are part of the contract:
 in-process oracles truncate in O(1), `ExternalOracle` by sending the
-position with its next `extend`.
+position with its next `extend`. Every oracle refuses a `length` that is
+not a plain int in [0, consumed_len] with `ValueError`, before any state
+changes.
 """
 
 from __future__ import annotations
@@ -100,6 +102,12 @@ def _check_batch(tokens: list[int]) -> None:
         raise ValueError("extend requires at least one token")
 
 
+def _check_position(length: int, consumed: int) -> None:
+    # type(), not isinstance(): a bool is an int, and the server refuses one as "at"
+    if type(length) is not int or not 0 <= length <= consumed:
+        raise ValueError(f"cannot truncate cache of {consumed} to {length!r}")
+
+
 class ReplayOracle:
     """Teacher-forcing oracle that reads a fixed script.
 
@@ -136,8 +144,7 @@ class ReplayOracle:
         self._consumed = 0
 
     def truncate_cache(self, length: int) -> None:
-        if not (0 <= length <= self._consumed):
-            raise ValueError(f"cannot truncate cache of {self._consumed} to {length}")
+        _check_position(length, self._consumed)
         self._consumed = length
 
 
@@ -199,8 +206,7 @@ class MarkovOracle:
         self._consumed.clear()
 
     def truncate_cache(self, length: int) -> None:
-        if not (0 <= length <= len(self._consumed)):
-            raise ValueError(f"cannot truncate cache of {len(self._consumed)} to {length}")
+        _check_position(length, len(self._consumed))
         del self._consumed[length:]
 
 
@@ -213,9 +219,10 @@ class ExternalOracle:
     socket closed, so a server that never sends a newline cannot grow the
     client's memory without limit.
 
-    `truncate_cache` sends nothing: it records the position, and the next
-    `extend` carries it as `"at"`, so the server truncates and extends in
-    one round trip; a bad position shows up as an error of that `extend`.
+    `truncate_cache` checks the position locally and sends nothing: it
+    records it, and the next `extend` carries it as `"at"`, so the server
+    truncates and extends in one round trip; a position the server refuses
+    shows up as an error of that `extend`.
     A server whose `info` does not say `"at": true` is refused with
     `OracleProtocolError`: it would ignore the position and answer for the
     wrong prefix.
@@ -320,8 +327,7 @@ class ExternalOracle:
         self._at = None
 
     def truncate_cache(self, length: int) -> None:
-        if not (0 <= length <= self._consumed):
-            raise ValueError(f"cannot truncate cache of {self._consumed} to {length}")
+        _check_position(length, self._consumed)
         self._at = length
         self._consumed = length
 

@@ -121,6 +121,14 @@ def test_count_of_examples():
     assert s.count_of(2, (9,), 1) == 0
 
 
+def test_count_of_none_is_zero():
+    # None keys a row's argmax; it is not a token and has no count
+    s = NgramStore([1, 2, 1, 2, 1, 3], 3)
+    assert s.count_of(2, (1,), None) == 0
+    assert s.count_of(3, (2, 1), None) == 0
+    assert s.count_of(2, (9,), None) == 0
+
+
 def test_counts_match_brute_force_after_updates(rng):
     for _ in range(30):
         n_max = rng.randint(2, 5)
@@ -257,7 +265,8 @@ def store_scripts(draw):
     # a probe looks at the last `length` tokens of committed + extra
     probe = st.tuples(st.just("probe"), st.lists(tok, max_size=3), st.integers(0, n_max + 1),
                       st.integers(1, 8), st.integers(2, n_max + 1))
-    ops = st.lists(st.one_of(st.tuples(st.just("update"), tok), probe), max_size=40)
+    batch = st.lists(tok, min_size=1, max_size=4)  # one update(*tokens) call
+    ops = st.lists(st.one_of(st.tuples(st.just("update"), batch), probe), max_size=40)
     return n_max, draw(st.booleans()), draw(st.lists(tok, max_size=40)), draw(ops)
 
 
@@ -269,8 +278,8 @@ def test_store_matches_reference_differential(script):
     committed = list(init)
     for op in ops:
         if op[0] == "update":
-            store.update(op[1])
-            committed.append(op[1])
+            store.update(*op[1])
+            committed.extend(op[1])
             continue
         _, extra, length, k, min_level = op
         tail = (committed + extra)[max(0, len(committed) + len(extra) - length) :]
@@ -304,5 +313,17 @@ def test_store_matches_reference_differential(script):
         ]
         levels.append({"n": n, "entries": entries})
     assert store.snapshot() == {"n_max": n_max, "levels": levels}
-    # Rows hold only ints, so the collector never traverses them.
+    # Every counted window, and only those, is indexed by the rows of its
+    # suffixes, longest first: the rows themselves, not copies.
+    windows = {tuple(counted[max(0, i - n_max + 1) : i]) for i in range(len(counted))}
+    assert set(store._paths) == windows
+    for window, path in store._paths.items():
+        assert len(path) == len(window)
+        assert all(row is store._rows[window[i:]] for i, row in enumerate(path))
+    # Rows hold only ints and None, so the collector never traverses them, and
+    # a collection untracks every int-tuple key. A path tuple holds dicts, so
+    # CPython keeps it tracked: one tracked object per indexed window. A young
+    # collection is enough: any older key was untracked when it was promoted.
+    gc.collect(0)
     assert not any(gc.is_tracked(row) for row in store._rows.values())
+    assert not any(gc.is_tracked(key) for key in (*store._rows, *store._paths))

@@ -96,6 +96,22 @@ def test_truncate_cache_range_checked():
         o.truncate_cache(5)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: scripted([5, 6, 7, 8]),
+    lambda: MarkovOracle([1, 2, 1, 2, 3], order=1, seed=0),
+], ids=["replay", "markov"])
+@pytest.mark.parametrize("position", [True, 1.0, "1"])
+def test_truncate_cache_refuses_non_int_positions(make, position):
+    o, fresh = make(), make()
+    preds = o.extend([1, 2, 3])
+    fresh.extend([1, 2, 3])
+    with pytest.raises(ValueError):
+        o.truncate_cache(position)
+    # refused before any state changed
+    assert type(o.consumed_len) is int and o.consumed_len == 3
+    assert o.extend([preds[-1]]) == fresh.extend([preds[-1]])
+
+
 def test_markov_count_argmax():
     o = MarkovOracle([1, 2, 1, 2], order=1, seed=0)
     assert o.extend([1]) == [2]

@@ -484,6 +484,21 @@ def test_truncate_cache_is_checked_locally_and_sent_lazily(markov_server):
     remote.close()
 
 
+@pytest.mark.parametrize("position", [True, 1.0, "1"])
+def test_truncate_cache_refuses_non_int_positions(markov_server, position):
+    server, corpus = markov_server
+    remote = ExternalOracle(server.address)
+    local = MarkovOracle(corpus, order=2, seed=5)
+    remote.extend([1, 2, 3])
+    local.extend([1, 2, 3])
+    with pytest.raises(ValueError):
+        remote.truncate_cache(position)
+    # nothing is pending: the next extend continues the untruncated prefix
+    assert type(remote.consumed_len) is int and remote.consumed_len == 3
+    assert remote.extend([6, 0]) == local.extend([6, 0])
+    remote.close()
+
+
 class _CountingOracle:
     """Counts the extend and reset requests a served oracle receives."""
 
