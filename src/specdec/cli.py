@@ -81,6 +81,14 @@ def _int(obj: dict, section: str, key: str, default: int) -> int:
     return value
 
 
+def _str(obj: dict, section: str, key: str, default: str | None) -> str | None:
+    value = obj.get(key, default)
+    if not isinstance(value, str) and not (value is None and default is None):
+        name = f"{section}.{key}" if section else key
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _cost(cost_raw: dict, key: str, default: float) -> float:
     value = cost_raw.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
@@ -127,14 +135,14 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
 
     cfg = RunConfig(
         seed=_int(raw, "", "seed", 0),
-        corpus_ref=raw.get("corpus", ""),
+        corpus_ref=_str(raw, "", "corpus", ""),
         prompt_tokens=_int(raw, "", "prompt_tokens", 64),
-        tokenizer_mode=tok_raw.get("mode", "byte"),
-        vocab_path=tok_raw.get("vocab_path"),
+        tokenizer_mode=_str(tok_raw, "tokenizer", "mode", "byte"),
+        vocab_path=_str(tok_raw, "tokenizer", "vocab_path", None),
         bpe_train_size=_int(tok_raw, "tokenizer", "train_size", 512),
-        oracle_kind=oracle_raw.get("kind", "replay"),
+        oracle_kind=_str(oracle_raw, "oracle", "kind", "replay"),
         markov_order=_int(oracle_raw, "oracle", "order", 2),
-        endpoint=oracle_raw.get("endpoint"),
+        endpoint=_str(oracle_raw, "oracle", "endpoint", None),
         decode=DecodeOptions(**{
             key: _flag(decode_raw, key, default) if isinstance(default, bool)
             else _int(decode_raw, "decode", key, default)
@@ -143,14 +151,13 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
         cost=CostModel(**{
             key: _cost(cost_raw, key, default) for key, default in asdict(DEFAULT_COST_MODEL).items()
         }),
-        trace_path=raw.get("trace_path"),
-        report_path=raw.get("report_path"),
+        trace_path=_str(raw, "", "trace_path", None),
+        report_path=_str(raw, "", "report_path", None),
     )
     if not cfg.corpus_ref:
         raise ConfigError(f"config {path} is missing 'corpus'")
-    if not cfg.corpus_ref.startswith("bundled:"):
-        if not Path(cfg.corpus_ref).exists():
-            raise ConfigError(f"corpus file not found: {cfg.corpus_ref}")
+    if not cfg.corpus_ref.startswith("bundled:") and not Path(cfg.corpus_ref).exists():
+        raise ConfigError(f"corpus file not found: {cfg.corpus_ref}")
     if cfg.vocab_path is not None and not Path(cfg.vocab_path).is_file():
         raise ConfigError(f"vocab file not found: {cfg.vocab_path}")
 
@@ -363,16 +370,14 @@ def cmd_serve_oracle(args: argparse.Namespace) -> int:
         ids = encode(corpus, vocab, "byte")
         if args.kind == "markov":
             spec = OracleSpec(kind="markov", corpus=tuple(ids), order=args.order, seed=args.seed)
-        elif args.kind == "replay":
+        else:  # the parser allows only markov and replay
             spec = OracleSpec(
                 kind="replay",
                 prompt=tuple(ids[: args.prompt_tokens]),
                 target=tuple(ids[args.prompt_tokens :]),
                 eos=vocab.eos,
             )
-        else:
-            print(f"error: unknown oracle kind {args.kind!r}", file=sys.stderr)
-            return EXIT_ERROR
+        make_oracle(spec)  # a spec that cannot build fails here, not on every connection
         server = OracleServer(lambda: make_oracle(spec), host=host, port=int(port))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

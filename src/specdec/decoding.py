@@ -14,7 +14,8 @@ The engine chooses each step's draft length, with k_draft as its cap: a
 token is verified only when it raises the expected number of committed
 tokens per unit of verify cost, given this decode's per-level acceptance
 rates (the expected-accepted-length argument of Leviathan et al., arXiv
-2211.17192).
+2211.17192). The rule runs inside `NgramStore.draft`'s walk, so no token
+after the first one that does not pay is looked up.
 
 Each step commits between 1 and k_draft+1 tokens, so the accelerated loop
 never takes more steps (hence more oracle calls) than the baseline.
@@ -141,42 +142,17 @@ def baseline_decode(oracle, prompt: list[int], options: DecodeOptions,
     )
 
 
-def build_draft(
-    store: NgramStore,
-    committed_tail: list[int],
-    k_draft: int,
-    *,
-    fixed_level_only: bool = False,
-) -> tuple[list[int], list[int]]:
+def build_draft(store: NgramStore, committed_tail: list[int], k_draft: int, *,
+                fixed_level_only: bool = False, counts: tuple[list[int], list[int]] | None = None,
+                cost_model: CostModel | None = None) -> tuple[list[int], list[int], int]:
     """Draft up to k_draft tokens with `NgramStore.draft`, stopping at the
-    first context no order has seen. Pure with respect to the store."""
+    first context no order has seen and, given per-level `counts` and a
+    `cost_model`, right after the first token that does not pay; returns
+    (tokens, levels, paid). Pure with respect to the store."""
     if k_draft < 1:
         raise ValueError(f"k_draft must be >= 1, got {k_draft}")
-    return store.draft(committed_tail, k_draft, min_level=store.n_max if fixed_level_only else 2)
-
-
-def _paying_length(levels: list[int], hits: list[int], reached: list[int],
-                   cost_model: CostModel) -> int:
-    """How many leading draft tokens pay for their verify cost.
-
-    `hits[l] / reached[l]` is level l's acceptance rate. With `cum` the
-    product of the rates of the levels so far (this token's included), E = 1
-    + the sum of the earlier `cum`s and C the verify cost of the batch
-    without this token, the token raises E/C iff cum·C > verify_per_token·E.
-    `cum` never rises, so E/C is unimodal in the length and the first token
-    that does not pay ends the draft. With verify_per_token = 0 all pay.
-    """
-    vp = cost_model.verify_per_token
-    if not vp:
-        return len(levels)
-    vb = cost_model.verify_base
-    expected = cum = 1.0
-    for j, level in enumerate(levels):
-        cum *= hits[level] / reached[level]
-        if cum * (vb + vp * (1 + j)) <= vp * expected:
-            return j
-        expected += cum
-    return len(levels)
+    return store.draft(committed_tail, k_draft, min_level=store.n_max if fixed_level_only else 2,
+                       counts=counts, cost_model=cost_model)
 
 
 def verify_step(oracle, carried: int, drafted: list[int]) -> tuple[int, int, list[int]]:
@@ -211,18 +187,18 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
     """Draft-and-verify loop; output is token-identical to baseline_decode.
 
     Per step: commit the carried token, draft up to k_draft continuations
-    from the n-gram store, cut the draft at the remaining token budget and
-    at the first token that does not pay (`_paying_length`), validate
-    [carried]+draft in one call, commit the accepted prefix, carry the
-    oracle's next prediction. The accepted tokens and the next carried
-    token go into the store in one update.
+    (and no more than the budget left) from the n-gram store, whose walk
+    stops after the first token that does not pay (`NgramStore.draft`),
+    validate [carried] + the paying tokens in one call, commit the accepted
+    prefix, carry the oracle's next prediction. The accepted tokens and the
+    next carried token go into the store in one update.
 
     Each level starts at 1 hit of 1 reached. After a verify with `acc`
     accepted, the levels of the first `acc` tokens each count a hit and a
-    reach, and the uncut draft's next token, if any, is judged against the
-    next carried token (the oracle's prediction at its position): a reach,
-    and a hit if they match. That token is the first rejected one or, when
-    the whole cut draft passed, the first one cut; judging it costs no
+    reach, and the walk's next token, if any, is judged against the next
+    carried token (the oracle's prediction at its position): a reach, and a
+    hit if they match. That token is the first rejected one or, when every
+    paying token passed, the one that did not pay; judging it costs no
     oracle call and keeps a level whose tokens stopped paying measured.
     """
     options.validate()
@@ -235,11 +211,12 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
         preds = oracle.extend(list(prompt))
     except OracleError as exc:
         raise _wrap_oracle_error(exc, "prefill") from exc
-    totals = DecodeTotals(llm_calls=1)
     carried = preds[-1]
-    budget = options.max_new_tokens
+    budget, k_draft, fixed = options.max_new_tokens, options.k_draft, options.fixed_level_only
     eos = oracle.eos if options.stop_at_eos else None
-    hits, reached = [1] * (options.n_max + 1), [1] * (options.n_max + 1)
+    counts = hits, reached = [1] * (options.n_max + 1), [1] * (options.n_max + 1)
+    vb, vp, committed = cm.verify_base, cm.verify_per_token, store.committed
+    calls, proposed, accepted_total, rollbacks = 1, 0, 0, 0
     output: list[int] = []
     steps: list[StepRecord] = []
     if budget:
@@ -249,43 +226,39 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
         if carried == eos:
             steps.append(StepRecord(len(steps), [], [], 0, [carried], 0, 0.0))
             break
-        k_use = min(options.k_draft, budget - len(output))
-        full, full_levels = (
-            build_draft(store, store.committed, k_use, fixed_level_only=options.fixed_level_only)
-            if k_use > 0 else ([], [])
-        )
-        paid = _paying_length(full_levels, hits, reached, cm)
-        drafted, levels = full[:paid], full_levels[:paid]
-        totals.rollbacks += _align_oracle(oracle, len(store.committed) - 1)
+        k_use = min(k_draft, budget - len(output))
+        tokens, levels, paid = build_draft(store, committed, k_use, fixed_level_only=fixed,
+                                           counts=counts, cost_model=cm) if k_use > 0 else ([], [], 0)
+        drafted = tokens[:paid]
+        rollbacks += _align_oracle(oracle, len(committed) - 1)
         try:
             accepted, next_carried, _ = verify_step(oracle, carried, drafted)
         except OracleError as exc:
             raise _wrap_oracle_error(exc, f"step {len(steps)}") from exc
-        for level in full_levels[:accepted]:
+        for level in levels[:accepted]:
             hits[level] += 1
             reached[level] += 1
-        if accepted < len(full):
-            level = full_levels[accepted]
+        if accepted < len(tokens):
+            level = levels[accepted]
             reached[level] += 1
-            hits[level] += full[accepted] == next_carried
+            hits[level] += tokens[accepted] == next_carried
+            del levels[paid:]  # the step records the paying tokens' levels only
         kept = drafted[:accepted]
         eos_hit = eos in kept
         if eos_hit:
             kept = kept[: kept.index(eos) + 1]
         output += kept
-        batch_len = 1 + len(drafted)
-        totals.llm_calls += 1
-        totals.proposed_draft_tokens += len(drafted)
-        totals.accepted_draft_tokens += len(kept)
-        steps.append(
-            StepRecord(len(steps), drafted, levels, len(kept), [carried, *kept], batch_len,
-                       cm.verify_base + cm.verify_per_token * batch_len)
-        )
+        calls += 1
+        proposed += paid
+        accepted_total += len(kept)
+        steps.append(StepRecord(len(steps), drafted, levels, len(kept), [carried, *kept],
+                                1 + paid, vb + vp * (1 + paid)))
         if eos_hit or len(output) == budget:
             store.update(*kept)
             break
         carried = next_carried
         store.update(*kept, carried)
+    totals = DecodeTotals(proposed, accepted_total, calls, rollbacks)
     return DecodeResult(
         output=output,
         steps=steps,

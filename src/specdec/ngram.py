@@ -6,7 +6,9 @@ count argmax, ties going to the most recently reinforced token; there is no
 smoothing or probability output. `draft` is the decoder's one lookup path:
 it reads each row's argmax directly, taking each token from the highest
 order whose context (the tail plus the tokens drafted so far) has been seen,
-and stops at the first context no allowed order has seen.
+and stops at the first context no allowed order has seen or, given the
+decoder's acceptance counts and cost model, after the first token that
+does not pay for its verify cost.
 
 Rows map a context (n-1 tokens, so its length names the order) to {next:
 count}, and each row keeps its own argmax under the key None, which no token
@@ -122,19 +124,32 @@ class NgramStore:
         return None
 
     def draft(
-        self, tail: list[int] | tuple[int, ...], k: int, *, min_level: int = 2
-    ) -> tuple[list[int], list[int]]:
-        """Draft up to k tokens greedily; returns them and their levels.
+        self, tail: list[int] | tuple[int, ...], k: int, *, min_level: int = 2,
+        counts: tuple[list[int], list[int]] | None = None, cost_model=None,
+    ) -> tuple[list[int], list[int], int]:
+        """Draft up to k tokens greedily; returns (tokens, levels, paid).
 
         Each token is the argmax after the longest suffix, of n_max-1 down to
         min_level-1 tokens (min_level >= 2), of `tail` plus the tokens drafted
         so far that the store has seen; its level is that suffix's length
-        plus one. Drafting stops at the first context with no such suffix."""
+        plus one. Drafting stops at the first context with no such suffix,
+        and right after the first token that does not pay; that token is
+        returned, past `paid`, so the caller can judge it. With `counts` =
+        (hits, reached), hits[l] / reached[l] level l's rate, `cum` their
+        product so far, E = 1 + the earlier `cum`s and C the `cost_model`
+        verify cost of the batch without this token, a token pays iff cum·C >
+        verify_per_token·E. Without counts, or with verify_per_token = 0,
+        every token pays."""
         rows = self._rows
         width = self.n_max - 1
         ctx = tuple(tail[-width:])
         tokens, levels = [], []
-        for _ in range(k):
+        vp = counts and cost_model.verify_per_token
+        if vp:
+            hits, reached = counts
+            vb = cost_model.verify_base
+            expected = cum = 1.0
+        for j in range(k):
             # m = n-1 context tokens; a context's length names its order
             m = len(ctx)
             row = rows.get(ctx)
@@ -144,10 +159,16 @@ class NgramStore:
             if row is None or m < min_level - 1:
                 break
             tok = row[None]
+            level = m + 1
             tokens.append(tok)
-            levels.append(m + 1)
+            levels.append(level)
+            if vp:
+                cum *= hits[level] / reached[level]
+                if cum * (vb + vp * (1 + j)) <= vp * expected:
+                    return tokens, levels, j
+                expected += cum
             ctx = (ctx + (tok,))[-width:]
-        return tokens, levels
+        return tokens, levels, len(tokens)
 
     def count_of(self, n: int, context: list[int] | tuple[int, ...], nxt: int) -> int:
         if not (2 <= n <= self.n_max):

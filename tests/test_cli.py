@@ -7,6 +7,7 @@ from specdec.bundled import bundled_path
 from specdec.cli import load_config, main
 from specdec.decoding import DecodeOptions, DecodeResult, DecodeTotals
 from specdec.oracle import DEFAULT_COST_MODEL, ExternalOracle, MarkovOracle
+from specdec.server import OracleServer
 
 
 DEMO = str(bundled_path("demo_run.json"))
@@ -116,6 +117,26 @@ def test_run_non_int_setting_exits_1(tmp_path, capsys, section, key, value):
     code, _, err = run_cli(capsys, "run", "--config", str(cfg))
     assert code == 1
     assert f"{section}.{key}".lstrip(".") + " must be an integer" in err
+
+
+@pytest.mark.parametrize(
+    "section, key, optional",
+    [("", "corpus", False), ("tokenizer", "mode", False), ("tokenizer", "vocab_path", True),
+     ("oracle", "kind", False), ("oracle", "endpoint", True), ("", "trace_path", True),
+     ("", "report_path", True)],
+)
+@pytest.mark.parametrize("value", [7, 2.5, True, ["a"], {"a": 1}, None])
+def test_run_non_string_setting_exits_1(tmp_path, capsys, section, key, optional, value):
+    config = {"corpus": "bundled:repetitive.txt", "decode": {"max_new_tokens": 8}}
+    (config.setdefault(section, {}) if section else config)[key] = value
+    cfg = tmp_path / "str.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+    if value is None and optional:  # null stands for "not given"
+        assert code == 0
+    else:
+        assert code == 1
+        assert f"{section}.{key}".lstrip(".") + " must be a string" in err
 
 
 @pytest.mark.parametrize(
@@ -317,6 +338,20 @@ def test_serve_oracle_bad_listen(capsys):
         capsys, "serve-oracle", "--corpus", "bundled:repetitive.txt", "--listen", "nonsense"
     )
     assert code == 1
+
+
+def test_serve_oracle_unbuildable_spec_exits_1(capsys, monkeypatch):
+    def never(self):
+        raise AssertionError("served an oracle spec that cannot build")
+
+    monkeypatch.setattr(OracleServer, "serve_forever", never)
+    code, out, err = run_cli(
+        capsys, "serve-oracle", "--kind", "replay", "--corpus", "bundled:shuffled.txt",
+        "--prompt-tokens", "100000", "--listen", "127.0.0.1:0",
+    )
+    assert code == 1
+    assert "serving" not in out
+    assert "error: replay target must be non-empty" in err
 
 
 GOLDEN = {

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from specdec.decoding import (
     DecodeOptions,
-    _paying_length,
     baseline_decode,
     build_draft,
     read_trace,
@@ -89,35 +88,36 @@ def test_baseline_rejects_empty_prompt():
 
 def test_build_draft_chains_bigram():
     store = NgramStore([1, 2, 3, 1, 2, 3], 2)
-    draft, levels = build_draft(store, [9, 1], 2)
+    draft, levels, paid = build_draft(store, [9, 1], 2)
     assert draft == [2, 3]
     assert levels == [2, 2]
+    assert paid == 2
 
 
 def test_build_draft_empty_store():
     store = NgramStore([], 3)
-    assert build_draft(store, [1, 2], 4) == ([], [])
+    assert build_draft(store, [1, 2], 4) == ([], [], 0)
 
 
 def test_build_draft_uses_drafted_tokens_in_context():
     # store holds bigram (2)->3 and trigram (2,3)->4; second query should
     # extend the first drafted token to a trigram context
     store = NgramStore([2, 3, 4], 3)
-    draft, levels = build_draft(store, [2], 2)
+    draft, levels, _ = build_draft(store, [2], 2)
     assert draft == [3, 4]
     assert levels == [2, 3]
 
 
 def test_build_draft_truncates_on_miss():
     store = NgramStore([1, 2], 2)
-    draft, levels = build_draft(store, [1], 5)
+    draft, levels, _ = build_draft(store, [1], 5)
     assert draft == [2]  # (2) has no continuation
     assert levels == [2]
 
 
 def test_build_draft_fixed_level_only():
     store = NgramStore([1, 2], 3)  # only the bigram table has entries
-    assert build_draft(store, [5, 1], 2, fixed_level_only=True) == ([], [])
+    assert build_draft(store, [5, 1], 2, fixed_level_only=True) == ([], [], 0)
     assert build_draft(store, [5, 1], 2)[0] == [2]
 
 
@@ -126,6 +126,34 @@ def test_build_draft_does_not_mutate_store():
     before = store.snapshot()
     build_draft(store, [1], 4)
     assert store.snapshot() == before
+
+
+_COST_MODELS = st.one_of(
+    st.builds(
+        CostModel,
+        prefill_per_token=st.just(0.0),
+        verify_base=st.floats(0.0, 2.0),
+        verify_per_token=st.floats(0.0, 3.0),
+    ),
+    st.just(CostModel(0.0, 0.0, 0.0)),
+    st.builds(CostModel, verify_base=st.just(0.0), verify_per_token=st.floats(0.0, 1.0)),
+)
+
+
+def _paying_length(levels, hits, reached, cm):
+    """Reference cut: how many leading tokens of an uncut draft pay for
+    their verify cost, by the rule `NgramStore.draft` applies in its walk."""
+    vp = cm.verify_per_token
+    if not vp:
+        return len(levels)
+    vb = cm.verify_base
+    expected = cum = 1.0
+    for j, level in enumerate(levels):
+        cum *= hits[level] / reached[level]
+        if cum * (vb + vp * (1 + j)) <= vp * expected:
+            return j
+        expected += cum
+    return len(levels)
 
 
 def _committed_per_cost(levels, hits, reached, cm, length):
@@ -167,6 +195,34 @@ def test_paying_length_without_per_token_cost_keeps_everything():
         assert _paying_length(levels, *hopeless, cm) == 4
     assert _paying_length(levels, *hopeless, CostModel()) == 0
     assert _paying_length(levels, [1] * 7, [1] * 7, CostModel()) == 4
+
+
+@st.composite
+def _walks(draw):
+    """A store, a tail (maybe shorter than n_max - 1), k, min_level, and
+    per-level counts with hits <= reached."""
+    n_max = draw(st.integers(2, 6))
+    tok = st.integers(0, draw(st.integers(0, 4)))
+    store = NgramStore(draw(st.lists(tok, max_size=60)), n_max)
+    for batch in draw(st.lists(st.lists(tok, min_size=1, max_size=4), max_size=4)):
+        store.update(*batch)
+    tail = draw(st.lists(tok, max_size=n_max + 1))
+    reached = draw(st.lists(st.integers(1, 20), min_size=n_max + 1, max_size=n_max + 1))
+    hits = [draw(st.integers(0, r)) for r in reached]
+    return store, tail, draw(st.integers(1, 8)), draw(st.sampled_from([2, n_max])), hits, reached
+
+
+@given(_walks(), _COST_MODELS)
+@settings(max_examples=400, deadline=None)
+def test_cut_walk_is_the_uncut_draft_cut_by_the_reference(walk, cm):
+    store, tail, k, min_level, hits, reached = walk
+    full, full_levels, full_paid = store.draft(tail, k, min_level=min_level)
+    assert full_paid == len(full)
+    tokens, levels, paid = store.draft(tail, k, min_level=min_level, counts=(hits, reached),
+                                       cost_model=cm)
+    assert paid == _paying_length(full_levels, hits, reached, cm)
+    # the walk stops right after the first token that does not pay
+    assert (tokens, levels) == (full[: paid + 1], full_levels[: paid + 1])
 
 
 # ---------------------------------------------------------------- verify_step
@@ -375,18 +431,6 @@ def test_losslessness_property_markov(seed, n_max, k_draft, m):
     assert accel.output == base.output
 
 
-_COST_MODELS = st.one_of(
-    st.builds(
-        CostModel,
-        prefill_per_token=st.just(0.0),
-        verify_base=st.floats(0.0, 2.0),
-        verify_per_token=st.floats(0.0, 3.0),
-    ),
-    st.just(CostModel(0.0, 0.0, 0.0)),
-    st.builds(CostModel, verify_base=st.just(0.0), verify_per_token=st.floats(0.0, 1.0)),
-)
-
-
 @given(st.integers(0, 2**32 - 1), st.booleans(), _COST_MODELS)
 @settings(max_examples=150, deadline=None)
 def test_losslessness_over_cost_models(seed, use_markov, cm):
@@ -423,7 +467,7 @@ def test_draft_lengths_follow_the_per_level_counts(rng):
     for step, nxt in zip(res.steps, res.steps[1:]):
         store.update(step.committed[0])
         k_use = min(opts.k_draft, opts.max_new_tokens - (len(store.committed) - len(prompt)))
-        full, full_levels = build_draft(store, store.committed, k_use)
+        full, full_levels, _ = build_draft(store, store.committed, k_use)
         paid = _paying_length(full_levels, hits, reached, cm)
         assert (step.drafted, step.draft_levels) == (full[:paid], full_levels[:paid])
         cut += paid < len(full)
@@ -458,15 +502,36 @@ def _bundled_oracle(corpus, kind, prompt_len=200):
     return prompt, lambda: MarkovOracle(ids, 3, 0, eos=vocab.eos)
 
 
-@pytest.mark.parametrize("corpus,kind,verify_base", sorted(_FULL_LENGTH_STEPS))
-def test_zero_verify_per_token_keeps_full_length_steps(corpus, kind, verify_base):
+def _steps_sha256(corpus, kind, cm=None):
     prompt, make = _bundled_oracle(corpus, kind)
-    prefill = 0.002 if kind == "markov" else 0.0
-    cm = CostModel(prefill_per_token=prefill, verify_base=verify_base, verify_per_token=0.0)
     res = speculative_decode(make(), prompt, DecodeOptions(n_max=5, k_draft=7,
                                                            max_new_tokens=1000), cm)
-    steps = json.dumps([dataclasses.asdict(s) for s in res.steps]).encode()
-    assert hashlib.sha256(steps).hexdigest() == _FULL_LENGTH_STEPS[(corpus, kind, verify_base)]
+    return hashlib.sha256(json.dumps([dataclasses.asdict(s) for s in res.steps]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("corpus,kind,verify_base", sorted(_FULL_LENGTH_STEPS))
+def test_zero_verify_per_token_keeps_full_length_steps(corpus, kind, verify_base):
+    prefill = 0.002 if kind == "markov" else 0.0
+    cm = CostModel(prefill_per_token=prefill, verify_base=verify_base, verify_per_token=0.0)
+    assert _steps_sha256(corpus, kind, cm) == _FULL_LENGTH_STEPS[(corpus, kind, verify_base)]
+
+
+# The same hash under the default cost model, where drafts are cut; pinned
+# while the cut still ran over the uncut draft, before it moved into the
+# store's draft walk.
+_DEFAULT_COST_STEPS = {
+    ("patterned_code.txt", "markov"): "27f0aabe4d013dc88fc46ce969768a6dd112a3e034a41f224499496e179bdcd6",
+    ("patterned_code.txt", "replay"): "48463306679ceb7d331e7a239ebdfc64dc2200f9bcc023dfc2882d4fde0accba",
+    ("repetitive.txt", "markov"): "8349163ee537ad23aca520f82df89617d81a06a7d1f94119f995a67a1f909fb9",
+    ("repetitive.txt", "replay"): "5285ea8b5ae9758aefed128675e0f87b7868cd986e1409225f5b756bdd33aaa8",
+    ("shuffled.txt", "markov"): "81326e55eeb752f3c6760979339997da9d4ee97143ec16cd6efa62f3e910020a",
+    ("shuffled.txt", "replay"): "5dfce34b3842a04c573b808a63e21fd8335dc5c3d173ecb6d883197a4bbcfd5d",
+}
+
+
+@pytest.mark.parametrize("corpus,kind", sorted(_DEFAULT_COST_STEPS))
+def test_default_cost_steps_are_pinned(corpus, kind):
+    assert _steps_sha256(corpus, kind) == _DEFAULT_COST_STEPS[(corpus, kind)]
 
 
 # speedup_sim (default cost model, n=5, k=7, 200-token prompt, 1,000 new

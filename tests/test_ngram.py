@@ -298,9 +298,9 @@ def test_store_matches_reference_differential(script):
                 expected_hit = QueryHit(token=best, level=n, count=row[best][0])
         assert store.query_multilevel(tail, min_level=min_level) == expected_hit
         for fixed in (False, True):
-            assert build_draft(store, tail, k, fixed_level_only=fixed) == _chained_draft(
-                store, tail, k, fixed
-            )
+            draft, levels, paid = build_draft(store, tail, k, fixed_level_only=fixed)
+            assert (draft, levels) == _chained_draft(store, tail, k, fixed)
+            assert paid == len(draft)  # without counts every token pays
     assert store.committed == committed
     counted = committed if runtime_update else init
     levels = []
