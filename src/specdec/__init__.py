@@ -14,10 +14,8 @@ from .decoding import (
     DecodeTotals,
     StepRecord,
     baseline_decode,
-    build_draft,
     read_trace,
     speculative_decode,
-    verify_step,
     write_trace,
 )
 from .metrics import (
@@ -31,7 +29,7 @@ from .metrics import (
     theoretical_bound,
     write_sweep_csv,
 )
-from .ngram import NgramStore, QueryHit
+from .ngram import NgramStore
 from .oracle import (
     DEFAULT_COST_MODEL,
     CostModel,
@@ -68,10 +66,8 @@ __all__ = [
     "DecodeTotals",
     "StepRecord",
     "baseline_decode",
-    "build_draft",
     "read_trace",
     "speculative_decode",
-    "verify_step",
     "write_trace",
     "LosslessnessError",
     "RunMetrics",
@@ -83,7 +79,6 @@ __all__ = [
     "theoretical_bound",
     "write_sweep_csv",
     "NgramStore",
-    "QueryHit",
     "DEFAULT_COST_MODEL",
     "CostModel",
     "ExternalOracle",

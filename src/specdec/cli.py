@@ -156,6 +156,8 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     )
     if not cfg.corpus_ref:
         raise ConfigError(f"config {path} is missing 'corpus'")
+    if cfg.prompt_tokens < 1:
+        raise ConfigError(f"prompt_tokens must be >= 1, got {cfg.prompt_tokens}")
     if not cfg.corpus_ref.startswith("bundled:") and not Path(cfg.corpus_ref).exists():
         raise ConfigError(f"corpus file not found: {cfg.corpus_ref}")
     if cfg.vocab_path is not None and not Path(cfg.vocab_path).is_file():
@@ -362,8 +364,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_serve_oracle(args: argparse.Namespace) -> int:
     try:
         host, _, port = args.listen.rpartition(":")
-        if not host or not port.isdigit():
+        if not host or not port.isdigit() or int(port) > 65535:
             print(f"error: bad --listen {args.listen!r}; expected HOST:PORT", file=sys.stderr)
+            return EXIT_ERROR
+        if args.prompt_tokens < 0:
+            print(f"error: --prompt-tokens must be >= 0, got {args.prompt_tokens}", file=sys.stderr)
             return EXIT_ERROR
         corpus = resolve_corpus_ref(args.corpus)
         vocab = byte_vocab()

@@ -39,8 +39,6 @@ __all__ = [
     "DecodeResult",
     "baseline_decode",
     "speculative_decode",
-    "build_draft",
-    "verify_step",
     "write_trace",
     "read_trace",
 ]
@@ -87,7 +85,6 @@ class DecodeTotals:
 class DecodeResult:
     output: list[int]
     steps: list[StepRecord]
-    prefill_sim_time: float
     totals: DecodeTotals
     prompt_len: int
     options: DecodeOptions
@@ -135,7 +132,6 @@ def baseline_decode(oracle, prompt: list[int], options: DecodeOptions,
     return DecodeResult(
         output=output,
         steps=steps,
-        prefill_sim_time=simulate_cost(cm, "prefill", len(prompt)),
         totals=totals,
         prompt_len=len(prompt),
         options=options,
@@ -262,7 +258,6 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
     return DecodeResult(
         output=output,
         steps=steps,
-        prefill_sim_time=simulate_cost(cm, "prefill", len(prompt)),
         totals=totals,
         prompt_len=len(prompt),
         options=options,

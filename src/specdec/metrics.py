@@ -9,7 +9,7 @@ by the benchmark in `perfbench/`, and never mixed into these numbers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .decoding import (
@@ -55,14 +55,7 @@ class RunMetrics:
     output_len: int
 
     def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "mean_committed_per_step": self.mean_committed_per_step,
-            "speedup_sim": self.speedup_sim,
-            "theoretical_bound": self.theoretical_bound,
-            "steps": self.steps,
-            "output_len": self.output_len,
-        }
+        return asdict(self)
 
 
 def sim_total_time(result: DecodeResult, cost_model: CostModel) -> float:

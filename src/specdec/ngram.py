@@ -1,14 +1,13 @@
 """Token-level n-gram count tables with highest-order-first fallback lookup.
 
 A store counts every window of orders 2..n_max over the committed token
-sequence; `update` commits a batch of tokens at once. Queries return the
-count argmax, ties going to the most recently reinforced token; there is no
-smoothing or probability output. `draft` is the decoder's one lookup path:
-it reads each row's argmax directly, taking each token from the highest
-order whose context (the tail plus the tokens drafted so far) has been seen,
-and stops at the first context no allowed order has seen or, given the
-decoder's acceptance counts and cost model, after the first token that
-does not pay for its verify cost.
+sequence; `update` commits a batch of tokens at once. `draft` is the one
+lookup: it takes each token as a row's count argmax, ties going to the most
+recently reinforced token (there is no smoothing or probability output),
+from the highest order whose context (the tail plus the tokens drafted so
+far) has been seen, and stops at the first context no allowed order has
+seen or, given the decoder's acceptance counts and cost model, after the
+first token that does not pay for its verify cost.
 
 Rows map a context (n-1 tokens, so its length names the order) to {next:
 count}, and each row keeps its own argmax under the key None, which no token
@@ -24,16 +23,7 @@ they stand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = ["QueryHit", "NgramStore"]
-
-
-@dataclass(frozen=True)
-class QueryHit:
-    token: int
-    level: int
-    count: int
+__all__ = ["NgramStore"]
 
 
 class NgramStore:
@@ -95,33 +85,14 @@ class NgramStore:
                 path.append(row)
             paths[window] = tuple(path)
 
-    def query(self, context: list[int] | tuple[int, ...], n: int) -> int | None:
-        """Count-argmax next token for the last n-1 tokens of `context`, or
-        None when that context was never seen at order n."""
-        hit = self._query_hit(context, n)
-        return None if hit is None else hit.token
-
-    def _query_hit(self, context: list[int] | tuple[int, ...], n: int) -> QueryHit | None:
-        if not (2 <= n <= self.n_max):
-            raise ValueError(f"query order {n} outside [2, {self.n_max}]")
-        if len(context) < n - 1:
-            raise ValueError(f"context of length {len(context)} too short for order {n}")
-        row = self._rows.get(tuple(context[len(context) - (n - 1) :]))
-        if row is None:
-            return None
-        tok = row[None]
-        return QueryHit(token=tok, level=n, count=row[tok])
-
     def query_multilevel(
         self, context_tail: list[int] | tuple[int, ...], *, min_level: int = 2
-    ) -> QueryHit | None:
-        """Try orders n_max down to `min_level`, skipping orders that need
-        more history than `context_tail` offers; first hit wins."""
-        for n in range(min(self.n_max, len(context_tail) + 1), min_level - 1, -1):
-            hit = self._query_hit(context_tail, n)
-            if hit is not None:
-                return hit
-        return None
+    ) -> tuple[int, int] | None:
+        """The first (token, level) of `draft(context_tail, 1, min_level=...)`,
+        or None when nothing is drafted. Only perfbench's traced run wraps
+        it; it goes once that tracer is pointed at `draft` (ROADMAP item 1)."""
+        tokens, levels, _ = self.draft(context_tail, 1, min_level=min_level)
+        return (tokens[0], levels[0]) if tokens else None
 
     def draft(
         self, tail: list[int] | tuple[int, ...], k: int, *, min_level: int = 2,
@@ -169,13 +140,6 @@ class NgramStore:
                 expected += cum
             ctx = (ctx + (tok,))[-width:]
         return tokens, levels, len(tokens)
-
-    def count_of(self, n: int, context: list[int] | tuple[int, ...], nxt: int) -> int:
-        if not (2 <= n <= self.n_max):
-            raise ValueError(f"order {n} outside [2, {self.n_max}]")
-        if nxt is None or len(context) != n - 1:
-            return 0  # None keys a row's argmax, not a count
-        return self._rows.get(tuple(context), {}).get(nxt, 0)
 
     def snapshot(self) -> dict:
         """JSON-friendly dump, entries ordered by (context, next) for

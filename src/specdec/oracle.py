@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import socket
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .server import MAX_LINE_BYTES
 
@@ -76,11 +76,7 @@ class CostModel:
                 raise ValueError(f"{name} must be >= 0")
 
     def to_json(self) -> dict:
-        return {
-            "prefill_per_token": self.prefill_per_token,
-            "verify_base": self.verify_base,
-            "verify_per_token": self.verify_per_token,
-        }
+        return asdict(self)
 
 
 DEFAULT_COST_MODEL = CostModel()
@@ -123,7 +119,6 @@ class ReplayOracle:
             raise ValueError("replay target must be non-empty")
         self._script: list[int] = list(prompt) + list(target)
         self.eos = eos
-        self.prompt_len = len(prompt)
         self.vocab_size = max(self._script + [eos]) + 1
         self._consumed = 0
 

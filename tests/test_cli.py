@@ -174,6 +174,18 @@ def test_corpus_only_config_loads_the_library_defaults(tmp_path):
     assert loaded.cost == DEFAULT_COST_MODEL
 
 
+@pytest.mark.parametrize("value", [-5, 0])
+def test_run_prompt_tokens_below_1_exits_1(tmp_path, capsys, value):
+    cfg = tmp_path / "prompt.json"
+    cfg.write_text(json.dumps(
+        {"corpus": "bundled:repetitive.txt", "prompt_tokens": value, "decode": {"max_new_tokens": 50}}
+    ))
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert f"prompt_tokens must be >= 1, got {value}" in err
+
+
 def test_run_losslessness_violation_exits_2(monkeypatch, capsys):
     import specdec.cli as cli_mod
 
@@ -181,7 +193,6 @@ def test_run_losslessness_violation_exits_2(monkeypatch, capsys):
         return DecodeResult(
             output=[1, 2, 3],
             steps=[],
-            prefill_sim_time=0.0,
             totals=DecodeTotals(),
             prompt_len=len(prompt),
             options=options,
@@ -338,6 +349,30 @@ def test_serve_oracle_bad_listen(capsys):
         capsys, "serve-oracle", "--corpus", "bundled:repetitive.txt", "--listen", "nonsense"
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("listen", ["127.0.0.1:99999", "127.0.0.1:65536"])
+def test_serve_oracle_port_out_of_range_exits_1(capsys, listen):
+    code, out, err = run_cli(
+        capsys, "serve-oracle", "--corpus", "bundled:repetitive.txt", "--listen", listen
+    )
+    assert code == 1
+    assert "serving" not in out
+    assert f"error: bad --listen {listen!r}" in err
+
+
+def test_serve_oracle_negative_prompt_tokens_exits_1(capsys, monkeypatch):
+    def never(self):
+        raise AssertionError("served with a negative --prompt-tokens")
+
+    monkeypatch.setattr(OracleServer, "serve_forever", never)
+    code, out, err = run_cli(
+        capsys, "serve-oracle", "--kind", "replay", "--corpus", "bundled:repetitive.txt",
+        "--prompt-tokens", "-5", "--listen", "127.0.0.1:0",
+    )
+    assert code == 1
+    assert "serving" not in out
+    assert "error: --prompt-tokens must be >= 0, got -5" in err
 
 
 def test_serve_oracle_unbuildable_spec_exits_1(capsys, monkeypatch):

@@ -6,15 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdec.decoding import build_draft
-from specdec.ngram import NgramStore, QueryHit
+from specdec.ngram import NgramStore
 
 from conftest import brute_force_window_counts
 
 
+def _counts(store, n):
+    """Order n of `snapshot()` as {(context, next): count}."""
+    level = next(l for l in store.snapshot()["levels"] if l["n"] == n)
+    return {(tuple(e["context"]), e["next"]): e["count"] for e in level["entries"]}
+
+
+def _first(store, tail, *, min_level=2):
+    """The first drafted (token, level), or None."""
+    tokens, levels, _ = store.draft(tail, 1, min_level=min_level)
+    return (tokens[0], levels[0]) if tokens else None
+
+
 def test_initialize_bigram_counts():
     s = NgramStore([1, 2, 1, 2, 1], 2)
-    assert s.count_of(2, (1,), 2) == 2
-    assert s.count_of(2, (2,), 1) == 2
+    assert _counts(s, 2) == {((1,), 2): 2, ((2,), 1): 2}
 
 
 def test_initialize_too_short_leaves_tables_empty():
@@ -24,7 +35,7 @@ def test_initialize_too_short_leaves_tables_empty():
 
 def test_initialize_trigram_single_window():
     s = NgramStore([1, 2, 3], 3)
-    assert s.count_of(3, (1, 2), 3) == 1
+    assert _counts(s, 3) == {((1, 2), 3): 1}
 
 
 def test_initialize_rejects_low_order():
@@ -35,7 +46,7 @@ def test_initialize_rejects_low_order():
 def test_update_adds_one_window_per_level():
     s = NgramStore([1, 2], 2)
     s.update(3)
-    assert s.count_of(2, (2,), 3) == 1
+    assert _counts(s, 2) == {((1,), 2): 1, ((2,), 3): 1}
     assert s.committed == [1, 2, 3]
 
 
@@ -57,76 +68,52 @@ def test_update_disabled_freezes_counts():
 
 def test_query_returns_count_argmax():
     s = NgramStore([1, 2, 1, 3, 1, 2], 2)
-    assert s.query([1], 2) == 2  # count 2 beats count 1
+    assert _first(s, [1]) == (2, 2)  # count 2 beats count 1
 
 
 def test_query_empty_store_absent():
     s = NgramStore([], 2)
-    assert s.query([1], 2) is None
+    assert s.draft([1], 3) == ([], [], 0)
 
 
 def test_query_tie_broken_by_recency():
     s = NgramStore([1, 2, 1, 3], 2)
-    assert s.query([1], 2) == 3  # both count 1, (1)->3 reinforced later
+    assert _first(s, [1]) == (3, 2)  # both count 1, (1)->3 reinforced later
 
 
 def test_query_only_uses_context_tail():
     s = NgramStore([5, 1, 2], 3)
-    assert s.query([9, 9, 9, 1], 2) == 2
-
-
-def test_query_order_out_of_range():
-    s = NgramStore([1, 2, 3], 3)
-    with pytest.raises(ValueError):
-        s.query([1], 4)
-    with pytest.raises(ValueError):
-        s.query([1], 1)
-
-
-def test_query_context_too_short_rejected():
-    s = NgramStore([1, 2, 3], 3)
-    with pytest.raises(ValueError):
-        s.query([], 2)
+    assert _first(s, [9, 9, 9, 1]) == (2, 2)
 
 
 def test_query_multilevel_prefers_highest_order():
     s = NgramStore([1, 2, 3, 1, 2, 3], 3)
-    assert s.query_multilevel([1, 2]) == QueryHit(token=3, level=3, count=2)
+    assert _first(s, [1, 2]) == (3, 3)
 
 
 def test_query_multilevel_all_levels_miss():
     s = NgramStore([1, 2, 3, 1, 2, 3], 3)
-    assert s.query_multilevel([9, 9]) is None
+    assert s.draft([9, 9], 2) == ([], [], 0)
 
 
 def test_query_multilevel_falls_back_to_bigram():
     s = NgramStore([1, 2], 3)
-    assert s.query_multilevel([5, 1]) == QueryHit(token=2, level=2, count=1)
+    assert _first(s, [5, 1]) == (2, 2)
 
 
 def test_query_multilevel_short_context_skips_high_orders():
     s = NgramStore([1, 2, 3, 1, 2, 3], 4)
-    hit = s.query_multilevel([2])
-    assert hit is not None and hit.level == 2
+    assert _first(s, [2]) == (3, 2)
 
 
 def test_query_multilevel_min_level_restricts_fallback():
     s = NgramStore([1, 2], 3)
-    assert s.query_multilevel([5, 1], min_level=3) is None
+    assert _first(s, [5, 1], min_level=3) is None
 
 
 def test_count_of_examples():
     s = NgramStore([1, 1, 1], 2)
-    assert s.count_of(2, (1,), 1) == 2
-    assert s.count_of(2, (9,), 1) == 0
-
-
-def test_count_of_none_is_zero():
-    # None keys a row's argmax; it is not a token and has no count
-    s = NgramStore([1, 2, 1, 2, 1, 3], 3)
-    assert s.count_of(2, (1,), None) == 0
-    assert s.count_of(3, (2, 1), None) == 0
-    assert s.count_of(2, (9,), None) == 0
+    assert _counts(s, 2) == {((1,), 1): 2}
 
 
 def test_counts_match_brute_force_after_updates(rng):
@@ -137,12 +124,8 @@ def test_counts_match_brute_force_after_updates(rng):
         for _ in range(rng.randint(0, 60)):
             s.update(rng.randrange(8))
         for n in range(2, n_max + 1):
-            expected = brute_force_window_counts(s.committed, n)
-            for (ctx, nxt), cnt in expected.items():
-                assert s.count_of(n, ctx, nxt) == cnt
-            # and nothing extra is stored
-            snap = next(l for l in s.snapshot()["levels"] if l["n"] == n)
-            assert len(snap["entries"]) == len(expected)
+            # every window counted right, and nothing extra stored
+            assert _counts(s, n) == brute_force_window_counts(s.committed, n)
 
 
 @given(
@@ -156,10 +139,7 @@ def test_count_equivalence_property(init, updates, n_max):
     for tok in updates:
         s.update(tok)
     for n in range(2, n_max + 1):
-        expected = brute_force_window_counts(s.committed, n)
-        snap = next(l for l in s.snapshot()["levels"] if l["n"] == n)
-        got = {(tuple(e["context"]), e["next"]): e["count"] for e in snap["entries"]}
-        assert got == expected
+        assert _counts(s, n) == brute_force_window_counts(s.committed, n)
 
 
 @given(st.lists(st.integers(0, 7), min_size=2, max_size=120), st.integers(2, 4))
@@ -170,11 +150,13 @@ def test_query_soundness_property(seq, n_max):
         if len(seq) < n:
             continue
         ctx = tuple(seq[-(n - 1):])
-        got = s.query(list(ctx), n)
-        if got is None:
+        hit = _first(s, ctx, min_level=n)
+        if hit is None:
             continue
+        assert hit[1] == n
+        counts = _counts(s, n)
         for other in range(8):
-            assert s.count_of(n, ctx, got) >= s.count_of(n, ctx, other)
+            assert counts[ctx, hit[0]] >= counts.get((ctx, other), 0)
 
 
 @given(st.lists(st.integers(0, 7), min_size=3, max_size=120), st.integers(3, 5))
@@ -182,12 +164,12 @@ def test_query_soundness_property(seq, n_max):
 def test_multilevel_dominance_property(seq, n_max):
     s = NgramStore(seq, n_max)
     tail = seq[-(n_max - 1):]
-    hit = s.query_multilevel(tail)
+    hit = _first(s, tail)
     if hit is None:
         return
-    for n in range(hit.level + 1, n_max + 1):
+    for n in range(hit[1] + 1, n_max + 1):
         if len(tail) >= n - 1:
-            assert s.query(tail, n) is None
+            assert _first(s, tail[len(tail) - (n - 1):], min_level=n) is None
 
 
 def test_determinism_identical_call_sequences():
@@ -198,7 +180,7 @@ def test_determinism_identical_call_sequences():
         a.update(tok)
         b.update(tok)
     assert a.snapshot() == b.snapshot()
-    assert a.query_multilevel([3, 1]) == b.query_multilevel([3, 1])
+    assert a.draft([3, 1], 4) == b.draft([3, 1], 4)
 
 
 def test_ablation_query_depends_only_on_initial_tokens():
@@ -207,8 +189,8 @@ def test_ablation_query_depends_only_on_initial_tokens():
     for tok in [4, 4, 4, 4]:
         frozen.update(tok)
         live.update(tok)
-    assert frozen.query([4], 2) == 5  # frozen at initialization statistics
-    assert live.query([4], 2) == 4  # live store adapted
+    assert _first(frozen, [4]) == (5, 2)  # frozen at initialization statistics
+    assert _first(live, [4]) == (4, 2)  # live store adapted
 
 
 def test_snapshot_entry_ordering():
@@ -242,19 +224,35 @@ def _reference_argmax(row):
     return max(row, key=row.get)
 
 
-def _chained_draft(store, tail, k, fixed_level_only):
-    """build_draft as chained query_multilevel calls."""
-    min_level = store.n_max if fixed_level_only else 2
-    window = store.n_max - 1
-    working = list(tail[-window:])
+def _reference_snapshot(ref, n_max):
+    """`snapshot()` built from the reference rows of every order."""
+    levels = []
+    for n in range(2, n_max + 1):
+        rows = ref[n]
+        entries = [
+            {"context": list(ctx), "next": nxt, "count": count}
+            for ctx in sorted(rows)
+            for nxt, (count, _) in sorted(rows[ctx].items())
+        ]
+        levels.append({"n": n, "entries": entries})
+    return {"n_max": n_max, "levels": levels}
+
+
+def _chained_draft(ref, n_max, tail, k, min_level):
+    """The draft as a chain of reference lookups: each token is the argmax
+    at the highest order n >= min_level whose context ends the working tail."""
+    working = list(tail)
     draft, levels = [], []
     for _ in range(k):
-        hit = store.query_multilevel(working[-window:], min_level=min_level)
-        if hit is None:
+        for n in range(min(n_max, len(working) + 1), min_level - 1, -1):
+            row = ref[n].get(tuple(working[len(working) - (n - 1) :]))
+            if row:
+                break
+        else:
             break
-        draft.append(hit.token)
-        levels.append(hit.level)
-        working.append(hit.token)
+        draft.append(_reference_argmax(row))
+        levels.append(n)
+        working.append(draft[-1])
     return draft, levels
 
 
@@ -284,35 +282,29 @@ def test_store_matches_reference_differential(script):
         _, extra, length, k, min_level = op
         tail = (committed + extra)[max(0, len(committed) + len(extra) - length) :]
         counted = committed if runtime_update else init
+        ref = {n: _reference_rows(counted, n) for n in range(2, n_max + 1)}
+        assert store.snapshot() == _reference_snapshot(ref, n_max)
         expected_hit = None
         for n in range(n_max, 1, -1):
             if len(tail) < n - 1:
                 continue
+            # a tail of exactly n-1 tokens can neither fall back nor reach a higher order
             ctx = tuple(tail[len(tail) - (n - 1) :])
-            row = _reference_rows(counted, n).get(ctx, {})
-            best = _reference_argmax(row) if row else None
-            assert store.query(tail, n) == best
-            for nxt in {*row, *extra}:
-                assert store.count_of(n, ctx, nxt) == row.get(nxt, (0,))[0]
-            if best is not None and expected_hit is None and n >= min_level:
-                expected_hit = QueryHit(token=best, level=n, count=row[best][0])
+            row = ref[n].get(ctx)
+            hit = (_reference_argmax(row), n) if row else None
+            assert _first(store, ctx, min_level=n) == hit
+            if expected_hit is None and n >= min_level:
+                expected_hit = hit
+        assert _first(store, tail, min_level=min_level) == expected_hit
         assert store.query_multilevel(tail, min_level=min_level) == expected_hit
         for fixed in (False, True):
             draft, levels, paid = build_draft(store, tail, k, fixed_level_only=fixed)
-            assert (draft, levels) == _chained_draft(store, tail, k, fixed)
+            assert (draft, levels) == _chained_draft(ref, n_max, tail, k, n_max if fixed else 2)
             assert paid == len(draft)  # without counts every token pays
     assert store.committed == committed
     counted = committed if runtime_update else init
-    levels = []
-    for n in range(2, n_max + 1):
-        rows = _reference_rows(counted, n)
-        entries = [
-            {"context": list(ctx), "next": nxt, "count": count}
-            for ctx in sorted(rows)
-            for nxt, (count, _) in sorted(rows[ctx].items())
-        ]
-        levels.append({"n": n, "entries": entries})
-    assert store.snapshot() == {"n_max": n_max, "levels": levels}
+    ref = {n: _reference_rows(counted, n) for n in range(2, n_max + 1)}
+    assert store.snapshot() == _reference_snapshot(ref, n_max)
     # Every counted window, and only those, is indexed by the rows of its
     # suffixes, longest first: the rows themselves, not copies.
     windows = {tuple(counted[max(0, i - n_max + 1) : i]) for i in range(len(counted))}

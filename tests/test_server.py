@@ -540,7 +540,6 @@ def test_speculative_decode_over_tcp_matches_in_process():
         assert over_tcp.output == in_process.output
         assert over_tcp.steps == in_process.steps
         assert over_tcp.totals == in_process.totals
-        assert over_tcp.prefill_sim_time == in_process.prefill_sim_time
         rollbacks = sum(1 for s in in_process.steps if s.accepted_count < len(s.drafted))
         assert rollbacks > 0
         # one request per model call: rollbacks ride on the next extend
