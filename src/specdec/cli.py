@@ -13,6 +13,7 @@ from pathlib import Path
 from . import __version__
 from .bundled import resolve_corpus_ref
 from .decoding import (
+    N_MAX_CAP,
     DecodeOptions,
     baseline_decode,
     speculative_decode,
@@ -176,6 +177,7 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
             cfg.decode.runtime_update = False
         if given.get("fixed_level_only"):
             cfg.decode.fixed_level_only = True
+    cfg.decode.validate()
     return cfg
 
 
@@ -292,7 +294,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_grid(text: str) -> list[int]:
+def _parse_grid(text: str, key: str, cap: int | None = None) -> list[int]:
+    """Comma-separated values and lo-hi ranges; a range whose hi is above
+    `cap` is refused before it is expanded."""
     values: list[int] = []
     for part in text.split(","):
         part = part.strip()
@@ -300,6 +304,8 @@ def _parse_grid(text: str) -> list[int]:
             continue
         if "-" in part[1:]:
             lo, hi = part.split("-", 1)
+            if cap is not None and int(hi) > cap:
+                raise ValueError(f"{key} must be <= {cap}, got {part}")
             values.extend(range(int(lo), int(hi) + 1))
         else:
             values.append(int(part))
@@ -308,8 +314,8 @@ def _parse_grid(text: str) -> list[int]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
-        n_grid = _parse_grid(args.n_grid)
-        k_grid = _parse_grid(args.k_grid)
+        n_grid = _parse_grid(args.n_grid, "n_max", N_MAX_CAP)
+        k_grid = _parse_grid(args.k_grid, "k_draft")
         if not n_grid or not k_grid:
             print("error: empty sweep grid", file=sys.stderr)
             return EXIT_ERROR

@@ -19,6 +19,12 @@ after the first one that does not pay is looked up.
 
 Each step commits between 1 and k_draft+1 tokens, so the accelerated loop
 never takes more steps (hence more oracle calls) than the baseline.
+
+The accelerated loop logs each step as a few flat appends (drafted tokens
+and levels with per-step end offsets, accepted counts). Its
+`DecodeResult.steps` is a read-only sequence over that log that builds a
+`StepRecord` each time a step is read and keeps none; `baseline_decode`,
+the reference loop, still builds its records eagerly.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .ngram import NgramStore
@@ -44,6 +51,12 @@ __all__ = [
 ]
 
 
+# The highest n-gram order a decode may use. The store keys one row per
+# suffix of each window, so its keys grow with n_max squared per token: the
+# demo config peaks at 56 MiB with n_max 64 and at 154 MiB with 128.
+N_MAX_CAP = 64
+
+
 @dataclass
 class DecodeOptions:
     n_max: int = 5
@@ -54,8 +67,15 @@ class DecodeOptions:
     fixed_level_only: bool = False
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # type(), not isinstance(): a bool is an int, and 3.0 is no int
+            if type(value) is not type(f.default):
+                raise ValueError(f"{f.name} must be of type {type(f.default).__name__}, got {value!r}")
         if self.n_max < 2:
             raise ValueError(f"n_max must be >= 2, got {self.n_max}")
+        if self.n_max > N_MAX_CAP:
+            raise ValueError(f"n_max must be <= {N_MAX_CAP}, got {self.n_max}")
         if self.k_draft < 1:
             raise ValueError(f"k_draft must be >= 1, got {self.k_draft}")
         if self.max_new_tokens < 0:
@@ -81,10 +101,77 @@ class DecodeTotals:
     rollbacks: int = 0  # truncations: one per verify step, bar the last, that rejected a token
 
 
+class _StepLog(Sequence):
+    """The steps of one `speculative_decode`, kept as flat columns and read
+    as `StepRecord`s built on every read; none is kept.
+
+    Step i drafted `drafted[ends[i-1]:ends[i]]` at `levels[ends[i-1]:ends[i]]`
+    (from 0 for step 0), accepted `accepted[i]` of them and committed the
+    next `1 + accepted[i]` tokens of `output`. It verified `1 + len(drafted)`
+    tokens, or none when it is the call-less step after an eos commit, which
+    is last (`eos_last`).
+    """
+
+    __slots__ = ("_output", "_drafted", "_levels", "_ends", "_accepted", "_eos_last", "_vb", "_vp")
+
+    def __init__(self, output: list[int], drafted: list[int], levels: list[int], ends: list[int],
+                 accepted: list[int], eos_last: bool, cost_model: CostModel) -> None:
+        self._output, self._drafted, self._levels = output, drafted, levels
+        self._ends, self._accepted, self._eos_last = ends, accepted, eos_last
+        self._vb, self._vp = cost_model.verify_base, cost_model.verify_per_token
+
+    def __len__(self) -> int:
+        return len(self._accepted)
+
+    def _records(self, start: int, stop: int):
+        output, drafted, levels, ends, accepted = (
+            self._output, self._drafted, self._levels, self._ends, self._accepted)
+        d0 = ends[start - 1] if start else 0
+        o = start + sum(accepted[:start])
+        call_less = len(accepted) - 1 if self._eos_last else -1
+        for i in range(start, stop):
+            d1, acc = ends[i], accepted[i]
+            batch = 0 if i == call_less else 1 + d1 - d0
+            sim_time = self._vb + self._vp * batch if batch else 0.0
+            yield StepRecord(i, drafted[d0:d1], levels[d0:d1], acc, output[o:o + 1 + acc],
+                             batch, sim_time)
+            d0, o = d1, o + 1 + acc
+
+    def __iter__(self):
+        return self._records(0, len(self))
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]  # IndexError and TypeError as for a list
+        if isinstance(picked, int):
+            return next(self._records(picked, picked + 1))
+        if not picked:
+            return []
+        lo = min(picked)
+        window = list(self._records(lo, max(picked) + 1))
+        return [window[i - lo] for i in picked]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, _StepLog)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+def _batch_lens(steps: Sequence[StepRecord]) -> list[int]:
+    """Each step's verify batch length; a step log's are read from its
+    offsets without building records."""
+    if not isinstance(steps, _StepLog):
+        return [s.verify_batch_len for s in steps]
+    ends = steps._ends
+    lens = [1 + end - start for start, end in zip([0, *ends], ends)]
+    if steps._eos_last:
+        lens[-1] = 0
+    return lens
+
+
 @dataclass
 class DecodeResult:
     output: list[int]
-    steps: list[StepRecord]
+    steps: Sequence[StepRecord]
     totals: DecodeTotals
     prompt_len: int
     options: DecodeOptions
@@ -211,18 +298,22 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
     budget, k_draft, fixed = options.max_new_tokens, options.k_draft, options.fixed_level_only
     eos = oracle.eos if options.stop_at_eos else None
     counts = hits, reached = [1] * (options.n_max + 1), [1] * (options.n_max + 1)
-    vb, vp, committed = cm.verify_base, cm.verify_per_token, store.committed
-    calls, proposed, accepted_total, rollbacks = 1, 0, 0, 0
-    output: list[int] = []
-    steps: list[StepRecord] = []
+    committed = store.committed
+    stop = len(prompt) + budget  # the length of `committed` once the budget is spent
+    rollbacks, eos_last = 0, False
+    drafted_log: list[int] = []
+    levels_log: list[int] = []
+    ends: list[int] = []
+    accepted_log: list[int] = []
     if budget:
         store.update(carried)
-    while len(output) < budget:
-        output.append(carried)
+    while budget:  # each step starts with `carried` committed; the loop ends by break
         if carried == eos:
-            steps.append(StepRecord(len(steps), [], [], 0, [carried], 0, 0.0))
+            ends.append(len(drafted_log))
+            accepted_log.append(0)
+            eos_last = True
             break
-        k_use = min(k_draft, budget - len(output))
+        k_use = min(k_draft, stop - len(committed))
         tokens, levels, paid = build_draft(store, committed, k_use, fixed_level_only=fixed,
                                            counts=counts, cost_model=cm) if k_use > 0 else ([], [], 0)
         drafted = tokens[:paid]
@@ -230,7 +321,7 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
         try:
             accepted, next_carried, _ = verify_step(oracle, carried, drafted)
         except OracleError as exc:
-            raise _wrap_oracle_error(exc, f"step {len(steps)}") from exc
+            raise _wrap_oracle_error(exc, f"step {len(accepted_log)}") from exc
         for level in levels[:accepted]:
             hits[level] += 1
             reached[level] += 1
@@ -238,26 +329,26 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
             level = levels[accepted]
             reached[level] += 1
             hits[level] += tokens[accepted] == next_carried
-            del levels[paid:]  # the step records the paying tokens' levels only
+            del levels[paid:]  # the log keeps the paying tokens' levels only
         kept = drafted[:accepted]
         eos_hit = eos in kept
         if eos_hit:
             kept = kept[: kept.index(eos) + 1]
-        output += kept
-        calls += 1
-        proposed += paid
-        accepted_total += len(kept)
-        steps.append(StepRecord(len(steps), drafted, levels, len(kept), [carried, *kept],
-                                1 + paid, vb + vp * (1 + paid)))
-        if eos_hit or len(output) == budget:
+        drafted_log += drafted
+        levels_log += levels
+        ends.append(len(drafted_log))
+        accepted_log.append(len(kept))
+        if eos_hit or len(committed) + len(kept) == stop:
             store.update(*kept)
             break
         carried = next_carried
         store.update(*kept, carried)
-    totals = DecodeTotals(proposed, accepted_total, calls, rollbacks)
+    output = committed[len(prompt):]
+    calls = 1 + len(accepted_log) - eos_last
+    totals = DecodeTotals(len(drafted_log), sum(accepted_log), calls, rollbacks)
     return DecodeResult(
         output=output,
-        steps=steps,
+        steps=_StepLog(output, drafted_log, levels_log, ends, accepted_log, eos_last, cm),
         totals=totals,
         prompt_len=len(prompt),
         options=options,

@@ -18,6 +18,7 @@ from .decoding import (
     baseline_decode,
     speculative_decode,
     _atomic_write,
+    _batch_lens,
 )
 from .oracle import CostModel, DEFAULT_COST_MODEL, OracleSpec, make_oracle, simulate_cost
 
@@ -60,11 +61,15 @@ class RunMetrics:
 
 def sim_total_time(result: DecodeResult, cost_model: CostModel) -> float:
     """Prefill plus one verify cost per step, recomputed from batch lengths
-    so any cost model can be applied to an existing trace."""
+    so any cost model can be applied to an existing trace. A speculative
+    decode's lengths come from its step log; no record is built."""
     total = simulate_cost(cost_model, "prefill", result.prompt_len)
-    for step in result.steps:
-        if step.verify_batch_len > 0:
-            total += simulate_cost(cost_model, "verify", step.verify_batch_len)
+    batches = _batch_lens(result.steps)
+    # a few distinct lengths (at most k_draft + 1), each costed once
+    cost = {b: simulate_cost(cost_model, "verify", b) for b in set(batches) if b > 0}
+    for batch in batches:
+        if batch > 0:
+            total += cost[batch]
     return total
 
 
@@ -156,10 +161,10 @@ def sweep(
     """
     if not n_grid or not k_grid:
         raise ValueError("n_grid and k_grid must be non-empty")
-    if min(n_grid) < 2:
-        raise ValueError("n grid values must be >= 2")
-    if min(k_grid) < 1:
-        raise ValueError("k grid values must be >= 1")
+    for n in set(n_grid):
+        replace(options, n_max=n).validate()
+    for k in set(k_grid):
+        replace(options, k_draft=k).validate()
     if not prompt_set:
         raise ValueError("prompt_set must be non-empty")
     cm = cost_model or DEFAULT_COST_MODEL

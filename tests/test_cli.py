@@ -257,6 +257,28 @@ def test_sweep_deterministic_bytes(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv, got", [
+    (("run", "--config", DEMO, "--n", "65"), "65"),
+    (("sweep", "--config", DEMO, "--n-grid", "2-100000", "--k-grid", "1"), "2-100000"),
+    (("sweep", "--config", DEMO, "--n-grid", "2,65", "--k-grid", "1"), "65"),
+])
+def test_n_max_above_the_cap_exits_1(tmp_path, capsys, argv, got):
+    argv += ("--out", str(tmp_path / "x.csv")) if argv[0] == "sweep" else ()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    # a range is refused as written, before it is expanded
+    assert f"n_max must be <= 64, got {got}\n" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_config_n_max_above_the_cap_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "n.json"
+    cfg.write_text(json.dumps({"corpus": "bundled:repetitive.txt", "decode": {"n_max": 100000}}))
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert "n_max must be <= 64, got 100000" in err
+
+
 def test_sweep_empty_grid_exits_1(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--config", DEMO, "--n-grid", "", "--k-grid", "1",

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specdec import decoding
 from specdec.decoding import (
+    N_MAX_CAP,
     DecodeOptions,
+    StepRecord,
     baseline_decode,
     build_draft,
     read_trace,
@@ -18,9 +21,16 @@ from specdec.decoding import (
     write_trace,
 )
 from specdec.bundled import bundled_bytes
-from specdec.metrics import compute_metrics
+from specdec.metrics import compute_metrics, sim_total_time
 from specdec.ngram import NgramStore
-from specdec.oracle import CostModel, ExternalOracle, MarkovOracle, OracleSpec, ReplayOracle
+from specdec.oracle import (
+    CostModel,
+    ExternalOracle,
+    MarkovOracle,
+    OracleSpec,
+    ReplayOracle,
+    simulate_cost,
+)
 from specdec.server import OracleServer
 from specdec.tokenizer import byte_vocab, encode
 
@@ -362,7 +372,8 @@ def test_rollbacks_count_the_non_final_verify_steps_that_rejected(rng):
         verifies = [s for s in res.steps if s.verify_batch_len]
         rejecting = sum(1 for s in verifies[:-1] if s.accepted_count < len(s.drafted))
         assert res.totals.rollbacks == rejecting == oracle.truncates
-        seen.add((rejecting > 0, bool(verifies) and verifies[-1] is not res.steps[-1]))
+        # whether the last verify step is followed by the call-less eos step
+        seen.add((rejecting > 0, bool(verifies) and res.steps[-1].verify_batch_len == 0))
     assert seen == {(False, False), (True, False), (True, True), (False, True)}
 
 
@@ -450,6 +461,83 @@ def test_losslessness_over_cost_models(seed, use_markov, cm):
     accel = speculative_decode(make(), prompt, opts, cm)
     assert accel.output == base.output
     assert all(len(s.drafted) <= opts.k_draft for s in accel.steps)
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([0, 1, None]),
+       st.sampled_from([1, None]), _COST_MODELS)
+@settings(max_examples=200, deadline=None)
+def test_step_log_reads_as_the_records_it_logged(seed, use_markov, budget, k_draft, cm):
+    """`speculative_decode`'s steps are a log read as records: budget 0 and 1,
+    k_draft 1, budget cuts and (replay scripts shorter than the budget, or a
+    Markov eos that is a corpus token) eos inside the budget."""
+    r = random.Random(seed)
+    vocab = r.randint(3, 10)
+    prompt = [r.randrange(vocab) for _ in range(r.randint(1, 20))]
+    opts = DecodeOptions(n_max=r.randint(2, 5), k_draft=k_draft or r.randint(1, 8),
+                         max_new_tokens=r.randint(2, 120) if budget is None else budget)
+    if use_markov:
+        order = r.randint(1, 3)
+        corpus = [r.randrange(vocab) for _ in range(r.randint(order + 1, 200))]
+        oracle = MarkovOracle(corpus, order, seed % 97, eos=r.choice([None, 0]))
+    else:
+        oracle = replay(prompt, [r.randrange(vocab) for _ in range(r.randint(1, 150))])
+    res = speculative_decode(oracle, prompt, opts, cm)
+    steps, records = res.steps, list(res.steps)
+    assert len(steps) == len(records)
+    assert [t for s in records for t in s.committed] == res.output
+    assert sum(s.accepted_count for s in records) == res.totals.accepted_draft_tokens
+    assert sum(len(s.drafted) for s in records) == res.totals.proposed_draft_tokens
+    assert res.totals.llm_calls == 1 + sum(1 for s in records if s.verify_batch_len)
+    expected = simulate_cost(cm, "prefill", len(prompt))
+    for s in records:
+        if s.verify_batch_len:
+            assert s.sim_time == simulate_cost(cm, "verify", s.verify_batch_len)
+            expected += simulate_cost(cm, "verify", s.verify_batch_len)
+    assert sim_total_time(res, cm) == expected  # bit for bit
+    n = len(records)
+    assert [steps[i] for i in range(-n, 0)] == records
+    for cut in (slice(None), slice(1, None), slice(-3, None), slice(None, None, -2),
+                slice(n // 2, 0, -3), slice(5, 2)):
+        assert steps[cut] == records[cut]
+    assert steps == records and records == steps
+    with pytest.raises(IndexError):
+        steps[n]
+
+
+def test_speculative_decode_and_metrics_build_no_step_record(monkeypatch):
+    prompt = [1, 2, 3, 1, 2, 3]
+    target = [1, 2, 3] * 20  # then EOS, inside the budget
+    opts = DecodeOptions(n_max=3, k_draft=4, max_new_tokens=100)
+    base = baseline_decode(replay(prompt, target), prompt, opts, FLAT)
+
+    def refuse(*args):
+        raise AssertionError("a StepRecord was built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(decoding, "StepRecord", refuse)
+        res = speculative_decode(replay(prompt, target), prompt, opts, FLAT)
+        metrics = compute_metrics(res, base, FLAT)
+    assert metrics.steps == len(res.steps) > 1
+    last = res.steps[-1]
+    assert isinstance(last, StepRecord)
+    assert (last.committed, last.verify_batch_len) == ([EOS], 0)
+
+
+def test_result_survives_the_benchmarks_store_drop():
+    """The benchmark drops each result's store with `dataclasses.replace`
+    and hashes each step's seven fields."""
+    prompt = [1, 2, 3, 1, 2, 3]
+    res = speculative_decode(replay(prompt, [1, 2, 3] * 20), prompt,
+                             DecodeOptions(n_max=3, k_draft=4, max_new_tokens=40), FLAT)
+    assert res.store is not None
+    dropped = dataclasses.replace(res, store=None)
+    assert dropped.store is None
+    assert (dropped.output, dropped.steps, dropped.totals) == (res.output, res.steps, res.totals)
+    fields = ("step_index", "drafted", "draft_levels", "accepted_count", "committed",
+              "verify_batch_len", "sim_time")
+    assert [f.name for f in dataclasses.fields(StepRecord)] == list(fields)
+    lines = [json.dumps([getattr(s, f) for f in fields]) for s in dropped.steps]
+    assert lines == [json.dumps(list(dataclasses.astuple(s))) for s in res.steps]
 
 
 def test_draft_lengths_follow_the_per_level_counts(rng):
@@ -587,6 +675,30 @@ def test_decode_options_validation():
         DecodeOptions(k_draft=0).validate()
     with pytest.raises(ValueError):
         DecodeOptions(max_new_tokens=-1).validate()
+    DecodeOptions(n_max=N_MAX_CAP).validate()
+    with pytest.raises(ValueError, match=f"n_max must be <= {N_MAX_CAP}"):
+        DecodeOptions(n_max=N_MAX_CAP + 1).validate()
+
+
+class _Untouchable:
+    """An oracle that fails any test that reads it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the oracle was touched: {name}")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_max", 3.0), ("n_max", True), ("k_draft", 2.5), ("k_draft", True),
+    ("max_new_tokens", 3.5), ("max_new_tokens", False),
+    ("runtime_update", 1), ("stop_at_eos", None), ("fixed_level_only", "yes"),
+])
+def test_decode_options_refuse_a_wrong_type_before_the_oracle(field, value):
+    opts = DecodeOptions(**{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be of type"):
+        opts.validate()
+    for decode in (baseline_decode, speculative_decode):
+        with pytest.raises(ValueError, match=f"^{field} must be of type"):
+            decode(_Untouchable(), [1, 2], opts)
 
 
 def test_trace_round_trip(tmp_path):
