@@ -38,10 +38,8 @@ from .oracle import (
     OracleConnectError,
     OracleError,
     OracleProtocolError,
-    OracleSpec,
     OracleTransportError,
     ReplayOracle,
-    make_oracle,
     simulate_cost,
 )
 from .server import OracleServer
@@ -86,10 +84,8 @@ __all__ = [
     "OracleConnectError",
     "OracleError",
     "OracleProtocolError",
-    "OracleSpec",
     "OracleTransportError",
     "ReplayOracle",
-    "make_oracle",
     "simulate_cost",
     "OracleServer",
     "CorpusStats",

@@ -9,6 +9,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .bundled import resolve_corpus_ref
@@ -20,15 +21,11 @@ from .decoding import (
     write_trace,
     _atomic_write,
 )
-from .metrics import (
-    LosslessnessError,
-    compute_metrics,
-    sweep,
-    write_sweep_csv,
-)
-from .oracle import DEFAULT_COST_MODEL, CostModel, OracleError, OracleSpec, make_oracle
+from .metrics import LosslessnessError, compute_metrics, sweep, write_sweep_csv, _decode_fresh
+from .oracle import DEFAULT_COST_MODEL, CostModel, ExternalOracle, MarkovOracle, OracleError, ReplayOracle
 from .server import OracleServer
 from .tokenizer import (
+    MODES,
     byte_vocab,
     corpus_stats,
     decode as detokenize,
@@ -43,6 +40,9 @@ log = logging.getLogger("specdec.cli")
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_LOSSLESSNESS = 2
+
+# Values one sweep grid may hold; each is at least one decode per prompt.
+MAX_GRID_VALUES = 1024
 
 
 class ConfigError(Exception):
@@ -157,6 +157,14 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     )
     if not cfg.corpus_ref:
         raise ConfigError(f"config {path} is missing 'corpus'")
+    for name, value, allowed in (
+        ("tokenizer.mode", cfg.tokenizer_mode, MODES),
+        ("oracle.kind", cfg.oracle_kind, ("replay", "markov", "external")),
+    ):
+        if value not in allowed:
+            raise ConfigError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
+    if cfg.oracle_kind == "external" and not cfg.endpoint:
+        raise ConfigError("oracle.endpoint is required when oracle.kind is 'external'")
     if cfg.prompt_tokens < 1:
         raise ConfigError(f"prompt_tokens must be >= 1, got {cfg.prompt_tokens}")
     if not cfg.corpus_ref.startswith("bundled:") and not Path(cfg.corpus_ref).exists():
@@ -188,12 +196,11 @@ def _build_vocab(mode: str, vocab_path: str | None, train_size: int, corpus: byt
         return byte_vocab()
     if mode == "whitespace":
         return word_vocab(corpus)
-    if mode == "bpe":
-        return train_bpe(corpus, train_size)
-    raise ConfigError(f"unknown tokenizer mode {mode!r}")
+    return train_bpe(corpus, train_size)  # load_config and the parser allow no other mode
 
 
-def _build_run(cfg: RunConfig) -> tuple[list[int], OracleSpec, object]:
+def _build_run(cfg: RunConfig) -> tuple[list[int], Callable[[], object], dict, object]:
+    """The prompt, an oracle factory, its JSON description for traces, and the vocab."""
     corpus = resolve_corpus_ref(cfg.corpus_ref)
     vocab = _build_vocab(cfg.tokenizer_mode, cfg.vocab_path, cfg.bpe_train_size, corpus)
     ids = encode(corpus, vocab, cfg.tokenizer_mode)
@@ -201,40 +208,27 @@ def _build_run(cfg: RunConfig) -> tuple[list[int], OracleSpec, object]:
         raise ConfigError(
             f"corpus has only {len(ids)} tokens; prompt_tokens={cfg.prompt_tokens} leaves no target"
         )
-    prompt = ids[: cfg.prompt_tokens]
+    prompt, target = ids[: cfg.prompt_tokens], ids[cfg.prompt_tokens :]
     source = {"corpus": cfg.corpus_ref, "mode": cfg.tokenizer_mode, "prompt_tokens": cfg.prompt_tokens}
+    oracle_json: dict = {"kind": cfg.oracle_kind, "eos": None, "source": source}
     if cfg.oracle_kind == "replay":
-        spec = OracleSpec(
-            kind="replay",
-            prompt=tuple(prompt),
-            target=tuple(ids[cfg.prompt_tokens :]),
-            eos=vocab.eos,
-            source=source,
-        )
+        oracle_json.update(eos=vocab.eos, prompt_len=len(prompt), target_len=len(target))
+        new_oracle = lambda: ReplayOracle(prompt, target, vocab.eos)
     elif cfg.oracle_kind == "markov":
-        spec = OracleSpec(
-            kind="markov",
-            corpus=tuple(ids),
-            order=cfg.markov_order,
-            seed=cfg.seed,
-            eos=None,
-            source=source,
-        )
-    elif cfg.oracle_kind == "external":
-        if not cfg.endpoint:
-            raise ConfigError("external oracle needs an 'endpoint'")
-        spec = OracleSpec(kind="external", endpoint=cfg.endpoint, source=source)
-    else:
-        raise ConfigError(f"unknown oracle kind {cfg.oracle_kind!r}")
-    return prompt, spec, vocab
+        oracle_json.update(order=cfg.markov_order, seed=cfg.seed)
+        new_oracle = lambda: MarkovOracle(ids, cfg.markov_order, cfg.seed)
+    else:  # load_config allows no other kind, and an external one only with an endpoint
+        oracle_json.update(endpoint=cfg.endpoint)
+        new_oracle = lambda: ExternalOracle(cfg.endpoint)
+    return prompt, new_oracle, oracle_json, vocab
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = load_config(args.config, args)
-        prompt, spec, vocab = _build_run(cfg)
-        base = baseline_decode(make_oracle(spec), prompt, cfg.decode, cfg.cost)
-        accel = speculative_decode(make_oracle(spec), prompt, cfg.decode, cfg.cost)
+        prompt, new_oracle, oracle_json, vocab = _build_run(cfg)
+        base = _decode_fresh(baseline_decode, new_oracle, prompt, cfg.decode, cfg.cost)
+        accel = _decode_fresh(speculative_decode, new_oracle, prompt, cfg.decode, cfg.cost)
     except (ConfigError, OracleError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -245,7 +239,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_LOSSLESSNESS
 
     if cfg.trace_path:
-        write_trace(cfg.trace_path, accel, spec.to_json(), cfg.cost)
+        write_trace(cfg.trace_path, accel, oracle_json, cfg.cost)
     text = detokenize(accel.output, vocab).decode("utf-8", errors="replace")
     summary = {
         "config": str(args.config),
@@ -295,18 +289,21 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _parse_grid(text: str, key: str, cap: int | None = None) -> list[int]:
-    """Comma-separated values and lo-hi ranges; a range whose hi is above
-    `cap` is refused before it is expanded."""
+    """Comma-separated values and lo-hi ranges. A range whose hi is above
+    `cap`, or that would take the grid past MAX_GRID_VALUES values, is
+    refused before it is expanded."""
     values: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            if cap is not None and int(hi) > cap:
+            lo, hi = map(int, part.split("-", 1))
+            if cap is not None and hi > cap:
                 raise ValueError(f"{key} must be <= {cap}, got {part}")
-            values.extend(range(int(lo), int(hi) + 1))
+            if len(values) + hi - lo + 1 > MAX_GRID_VALUES:
+                raise ValueError(f"{key} grid must hold at most {MAX_GRID_VALUES} values, got {part}")
+            values.extend(range(lo, hi + 1))
         else:
             values.append(int(part))
     return values
@@ -317,12 +314,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         n_grid = _parse_grid(args.n_grid, "n_max", N_MAX_CAP)
         k_grid = _parse_grid(args.k_grid, "k_draft")
         if not n_grid or not k_grid:
-            print("error: empty sweep grid", file=sys.stderr)
-            return EXIT_ERROR
+            raise ValueError("empty sweep grid")
         cfg = load_config(args.config, args)
-        prompt, spec, _ = _build_run(cfg)
-        table = sweep(spec, [prompt], n_grid, k_grid, cfg.decode, cfg.cost)
-        table.config["seed"] = cfg.seed
+        prompt, new_oracle, oracle_json, _ = _build_run(cfg)
+        table = sweep(new_oracle, [prompt], n_grid, k_grid, cfg.decode, cfg.cost)
+        table.config.update(oracle=oracle_json, seed=cfg.seed)
         out_csv = Path(args.out)
         sidecar = out_csv.with_suffix(out_csv.suffix + ".config.json")
         write_sweep_csv(table, out_csv, sidecar)
@@ -371,25 +367,19 @@ def cmd_serve_oracle(args: argparse.Namespace) -> int:
     try:
         host, _, port = args.listen.rpartition(":")
         if not host or not port.isdigit() or int(port) > 65535:
-            print(f"error: bad --listen {args.listen!r}; expected HOST:PORT", file=sys.stderr)
-            return EXIT_ERROR
+            raise ValueError(f"bad --listen {args.listen!r}; expected HOST:PORT")
         if args.prompt_tokens < 0:
-            print(f"error: --prompt-tokens must be >= 0, got {args.prompt_tokens}", file=sys.stderr)
-            return EXIT_ERROR
+            raise ValueError(f"--prompt-tokens must be >= 0, got {args.prompt_tokens}")
         corpus = resolve_corpus_ref(args.corpus)
         vocab = byte_vocab()
         ids = encode(corpus, vocab, "byte")
         if args.kind == "markov":
-            spec = OracleSpec(kind="markov", corpus=tuple(ids), order=args.order, seed=args.seed)
+            new_oracle = lambda: MarkovOracle(ids, args.order, args.seed)
         else:  # the parser allows only markov and replay
-            spec = OracleSpec(
-                kind="replay",
-                prompt=tuple(ids[: args.prompt_tokens]),
-                target=tuple(ids[args.prompt_tokens :]),
-                eos=vocab.eos,
-            )
-        make_oracle(spec)  # a spec that cannot build fails here, not on every connection
-        server = OracleServer(lambda: make_oracle(spec), host=host, port=int(port))
+            prompt, target = ids[: args.prompt_tokens], ids[args.prompt_tokens :]
+            new_oracle = lambda: ReplayOracle(prompt, target, vocab.eos)
+        new_oracle()  # a factory that cannot build fails here, not on every connection
+        server = OracleServer(new_oracle, host=host, port=int(port))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

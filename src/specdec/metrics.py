@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 from .decoding import (
     DecodeOptions,
@@ -20,7 +21,7 @@ from .decoding import (
     _atomic_write,
     _batch_lens,
 )
-from .oracle import CostModel, DEFAULT_COST_MODEL, OracleSpec, make_oracle, simulate_cost
+from .oracle import CostModel, DEFAULT_COST_MODEL, simulate_cost
 
 __all__ = [
     "LosslessnessError",
@@ -71,6 +72,16 @@ def sim_total_time(result: DecodeResult, cost_model: CostModel) -> float:
         if batch > 0:
             total += cost[batch]
     return total
+
+
+def _decode_fresh(decode, new_oracle, prompt, options, cost_model=None) -> DecodeResult:
+    """`decode` on a fresh oracle from `new_oracle()`, closed afterwards if it can be."""
+    oracle = new_oracle()
+    try:
+        return decode(oracle, list(prompt), options, cost_model)
+    finally:
+        if hasattr(oracle, "close"):  # an ExternalOracle holds a socket
+            oracle.close()
 
 
 def compute_metrics(
@@ -146,7 +157,7 @@ class SweepTable:
 
 
 def sweep(
-    oracle_spec: OracleSpec,
+    new_oracle: Callable[[], object],
     prompt_set: list[list[int]],
     n_grid: list[int],
     k_grid: list[int],
@@ -154,10 +165,12 @@ def sweep(
     cost_model: CostModel | None = None,
 ) -> SweepTable:
     """Run the accelerated decoder for every (n, k) grid point and prompt
-    against one baseline decode per prompt; cell values are arithmetic
-    means across prompts. Per-run failures are recorded in the row and do
-    not abort the sweep. Rows are ordered n then k ascending; cells are
-    independent, so completion order can never change the table.
+    against one baseline decode per prompt, each decode on a fresh oracle
+    from `new_oracle()`; cell values are arithmetic means across prompts.
+    Per-run failures, a factory that raises included, are recorded in the
+    row and do not abort the sweep. Rows are ordered n then k ascending;
+    cells are independent, so completion order can never change the table.
+    The config does not describe the oracle; the caller adds that.
     """
     if not n_grid or not k_grid:
         raise ValueError("n_grid and k_grid must be non-empty")
@@ -172,7 +185,7 @@ def sweep(
     bases: list[DecodeResult | str] = []
     for idx, prompt in enumerate(prompt_set):
         try:
-            bases.append(baseline_decode(make_oracle(oracle_spec), list(prompt), base_opts, cm))
+            bases.append(_decode_fresh(baseline_decode, new_oracle, prompt, base_opts, cm))
         except Exception as exc:  # noqa: BLE001 - recorded in every cell
             bases.append(f"prompt {idx}: {type(exc).__name__}: {exc}")
     rows: list[SweepRow] = []
@@ -186,7 +199,7 @@ def sweep(
                     errors.append(base)
                     continue
                 try:
-                    accel = speculative_decode(make_oracle(oracle_spec), list(prompt), opts, cm)
+                    accel = _decode_fresh(speculative_decode, new_oracle, prompt, opts, cm)
                     metrics.append(compute_metrics(accel, base, cm))
                 except Exception as exc:  # noqa: BLE001 - recorded per cell
                     errors.append(f"prompt {idx}: {type(exc).__name__}: {exc}")
@@ -199,7 +212,6 @@ def sweep(
                 steps=mean("steps"), output_len=mean("output_len"), errors=errors,
             ))
     config = {
-        "oracle": oracle_spec.to_json(),
         "cost_model": cm.to_json(),
         "n_grid": sorted(set(n_grid)),
         "k_grid": sorted(set(k_grid)),

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import socket
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from .server import MAX_LINE_BYTES
 
@@ -32,8 +32,6 @@ __all__ = [
     "ReplayOracle",
     "MarkovOracle",
     "ExternalOracle",
-    "OracleSpec",
-    "make_oracle",
 ]
 
 
@@ -117,6 +115,9 @@ class ReplayOracle:
     def __init__(self, prompt: list[int], target: list[int], eos: int) -> None:
         if not target:
             raise ValueError("replay target must be non-empty")
+        # type(), not isinstance(): a bool is an int; past its end the script reads eos
+        if type(eos) is not int:
+            raise ValueError(f"replay eos must be an integer, got {eos!r}")
         self._script: list[int] = list(prompt) + list(target)
         self.eos = eos
         self.vocab_size = max(self._script + [eos]) + 1
@@ -328,54 +329,3 @@ class ExternalOracle:
 
     def close(self) -> None:
         self._sock.close()
-
-
-@dataclass(frozen=True)
-class OracleSpec:
-    """Factory description of an oracle, serializable for traces/sweeps."""
-
-    kind: str  # replay | markov | external
-    prompt: tuple[int, ...] | None = None
-    target: tuple[int, ...] | None = None
-    corpus: tuple[int, ...] | None = None
-    order: int | None = None
-    seed: int | None = None
-    endpoint: str | None = None
-    eos: int | None = None
-    source: dict | None = field(default=None, compare=False)
-
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind, "eos": self.eos}
-        if self.source is not None:
-            out["source"] = self.source
-            if self.kind == "replay":
-                out["prompt_len"] = len(self.prompt or ())
-                out["target_len"] = len(self.target or ())
-        elif self.kind == "replay":
-            out["prompt"] = list(self.prompt or ())
-            out["target"] = list(self.target or ())
-        elif self.kind == "markov":
-            out["corpus"] = list(self.corpus or ())
-        if self.kind == "markov":
-            out["order"] = self.order
-            out["seed"] = self.seed
-        if self.kind == "external":
-            out["endpoint"] = self.endpoint
-        return out
-
-
-def make_oracle(spec: OracleSpec):
-    """Build a fresh oracle instance from its spec."""
-    if spec.kind == "replay":
-        if spec.prompt is None or spec.target is None or spec.eos is None:
-            raise ValueError("replay spec needs prompt, target, and eos")
-        return ReplayOracle(list(spec.prompt), list(spec.target), spec.eos)
-    if spec.kind == "markov":
-        if spec.corpus is None or spec.order is None or spec.seed is None:
-            raise ValueError("markov spec needs corpus, order, and seed")
-        return MarkovOracle(list(spec.corpus), spec.order, spec.seed, eos=spec.eos)
-    if spec.kind == "external":
-        if not spec.endpoint:
-            raise ValueError("external spec needs an endpoint")
-        return ExternalOracle(spec.endpoint)
-    raise ValueError(f"unknown oracle kind {spec.kind!r}")

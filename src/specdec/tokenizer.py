@@ -229,8 +229,14 @@ def load_vocab(path: str | Path) -> Vocab:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict) or "tokens" not in payload:
         raise ValueError(f"not a vocab file: {path}")
-    tokens = tuple(base64.b64decode(entry) for entry in payload["tokens"])
-    return Vocab(tokens=tokens, eos=payload.get("eos"))
+    tokens, eos = payload["tokens"], payload.get("eos")
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise ValueError(f"vocab {path}: tokens must be a list of base64 strings")
+    # type(), not isinstance(): JSON true and false load as bools, which are ints
+    if eos is not None and type(eos) is not int:
+        raise ValueError(f"vocab {path}: eos must be an integer or null, got {eos!r}")
+    # validate=True: a character outside the base64 alphabet is refused, not skipped
+    return Vocab(tokens=tuple(base64.b64decode(t, validate=True) for t in tokens), eos=eos)
 
 
 def read_corpus(path: str | Path) -> bytes:

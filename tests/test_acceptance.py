@@ -18,13 +18,12 @@ from specdec import (
     ExternalOracle,
     MarkovOracle,
     NgramStore,
-    OracleSpec,
     OracleServer,
+    ReplayOracle,
     baseline_decode,
     byte_vocab,
     compute_metrics,
     encode,
-    make_oracle,
     speculative_decode,
     sweep,
     theoretical_bound,
@@ -110,9 +109,8 @@ def test_criterion_3_flat_cost_identity():
         target = period * 100
         for k in range(1, 9):
             opts = DecodeOptions(n_max=2, k_draft=k, max_new_tokens=(k + 1) * 12)
-            spec = OracleSpec(kind="replay", prompt=tuple(prompt), target=tuple(target), eos=999)
-            base = baseline_decode(make_oracle(spec), prompt, opts, FLAT)
-            accel = speculative_decode(make_oracle(spec), prompt, opts, FLAT)
+            base = baseline_decode(ReplayOracle(prompt, target, 999), prompt, opts, FLAT)
+            accel = speculative_decode(ReplayOracle(prompt, target, 999), prompt, opts, FLAT)
             # precondition: the draft was never truncated by a query miss
             assert all(len(s.drafted) == k for s in accel.steps)
             m = compute_metrics(accel, base, FLAT)
@@ -163,23 +161,22 @@ def test_criterion_5_count_equivalence():
 # ------------------------------------------------------- bundled-corpus setup
 
 
-def bundled_replay_spec():
+def bundled_replay():
+    """The 600-token prompt and a factory of fresh replay oracles."""
     ids = encode(bundled_bytes("repetitive.txt"), byte_vocab(), "byte")
     prompt = ids[:600]
-    return OracleSpec(
-        kind="replay", prompt=tuple(prompt), target=tuple(ids[600:]), eos=byte_vocab().eos
-    )
+    return prompt, lambda: ReplayOracle(prompt, ids[600:], byte_vocab().eos)
 
 
 def run_bundled(n, k, m=1000, runtime_update=True, fixed=False):
-    spec = bundled_replay_spec()
+    prompt, new_oracle = bundled_replay()
     opts = DecodeOptions(
         n_max=n, k_draft=k, max_new_tokens=m,
         runtime_update=runtime_update, fixed_level_only=fixed,
     )
     cm = CostModel()
-    base = baseline_decode(make_oracle(spec), list(spec.prompt), opts, cm)
-    accel = speculative_decode(make_oracle(spec), list(spec.prompt), opts, cm)
+    base = baseline_decode(new_oracle(), list(prompt), opts, cm)
+    accel = speculative_decode(new_oracle(), list(prompt), opts, cm)
     return accel, compute_metrics(accel, base, cm)
 
 
@@ -211,9 +208,9 @@ def test_criterion_7_runtime_update_ablation():
 
 def test_criterion_8_speedup_plateau():
     with criterion(8, "speedup rises in K then plateaus"):
-        spec = bundled_replay_spec()
+        prompt, new_oracle = bundled_replay()
         opts = DecodeOptions(n_max=5, max_new_tokens=1000)
-        table = sweep(spec, [list(spec.prompt)], [5], list(range(1, 11)), opts, CostModel())
+        table = sweep(new_oracle, [prompt], [5], list(range(1, 11)), opts, CostModel())
         speedups = [row.speedup_sim for row in table.rows]
         assert len(speedups) == 10
         k_star = max(range(10), key=lambda i: speedups[i])

@@ -1,9 +1,10 @@
+import base64
 import json
 import threading
 
 import pytest
 
-from specdec.bundled import bundled_path
+from specdec.bundled import bundled_bytes, bundled_path
 from specdec.cli import load_config, main
 from specdec.decoding import DecodeOptions, DecodeResult, DecodeTotals
 from specdec.oracle import DEFAULT_COST_MODEL, ExternalOracle, MarkovOracle
@@ -286,6 +287,132 @@ def test_sweep_empty_grid_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "grid" in err
+
+
+def test_sweep_grid_over_the_limit_exits_1(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--config", DEMO, "--n-grid", "2", "--k-grid", "1-300000",
+        "--out", str(tmp_path / "x.csv"),
+    )
+    assert (code, out) == (1, "")
+    # refused from its bounds, before 300,000 values are built
+    assert "k_draft grid must hold at most 1024 values, got 1-300000\n" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("grid, ok", [("1-1024", True), ("1-1025", False), ("1-1000,1001-1025", False)])
+def test_parse_grid_counts_values_before_expanding(grid, ok):
+    from specdec.cli import _parse_grid
+
+    if ok:
+        assert _parse_grid(grid, "k_draft") == list(range(1, 1025))
+    else:
+        with pytest.raises(ValueError, match="at most 1024 values"):
+            _parse_grid(grid, "k_draft")
+
+
+@pytest.mark.parametrize("section, message", [
+    ({"oracle": {"kind": "bogus"}}, "oracle.kind must be one of replay, markov, external, got 'bogus'"),
+    ({"tokenizer": {"mode": "wordpiece"}}, "tokenizer.mode must be one of byte, whitespace, bpe, got 'wordpiece'"),
+    ({"oracle": {"kind": "external"}}, "oracle.endpoint is required when oracle.kind is 'external'"),
+])
+@pytest.mark.parametrize("argv", [("run",), ("sweep", "--n-grid", "2", "--k-grid", "1")])
+def test_bad_kind_or_mode_exits_1_before_the_corpus_is_read(
+    tmp_path, capsys, monkeypatch, section, message, argv
+):
+    import specdec.cli as cli_mod
+
+    def unread(ref):
+        raise AssertionError(f"corpus {ref} read before the config was checked")
+
+    monkeypatch.setattr(cli_mod, "resolve_corpus_ref", unread)
+    # a bpe vocab would be trained on the corpus before the oracle is built
+    config = {"corpus": "bundled:shuffled.txt", "tokenizer": {"mode": "bpe", "train_size": 700}}
+    cfg = tmp_path / "kind.json"
+    cfg.write_text(json.dumps({**config, **section}))
+    out_csv = ("--out", str(tmp_path / "x.csv")) if argv[0] == "sweep" else ()
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg), *out_csv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_run_replay_with_an_eos_less_vocab_exits_1(tmp_path, capsys):
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(json.dumps({"tokens": [base64.b64encode(bytes([i])).decode() for i in range(256)]}))
+    cfg = tmp_path / "noeos.json"
+    cfg.write_text(json.dumps({
+        "corpus": "bundled:repetitive.txt", "tokenizer": {"vocab_path": str(vocab)},
+        "decode": {"max_new_tokens": 8},
+    }))
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert "error: replay eos must be an integer, got None" in err
+
+
+@pytest.mark.parametrize("payload", [{"tokens": 5}, {"tokens": ["AA=="], "eos": "x"}])
+def test_malformed_vocab_file_exits_1(tmp_path, capsys, payload):
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(json.dumps(payload))
+    cfg = tmp_path / "vocab_run.json"
+    cfg.write_text(json.dumps({"corpus": "bundled:repetitive.txt", "tokenizer": {"vocab_path": str(vocab)}}))
+    for argv in (("run", "--config", str(cfg)), ("stats", "--corpus", "bundled:repetitive.txt", "--vocab", str(vocab))):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: vocab {vocab}: ") and "Traceback" not in err
+
+
+SOURCE = {"corpus": "bundled:repetitive.txt", "mode": "byte", "prompt_tokens": 200}
+
+
+def _trace_oracle(tmp_path, capsys, oracle):
+    cfg = tmp_path / "oracle.json"
+    cfg.write_text(json.dumps({
+        "corpus": "bundled:repetitive.txt", "prompt_tokens": 200, "seed": 4, "oracle": oracle,
+        "decode": {"max_new_tokens": 40},
+    }))
+    trace = tmp_path / "trace.jsonl"
+    code, _, _ = run_cli(capsys, "run", "--config", str(cfg), "--trace", str(trace))
+    assert code == 0
+    return json.loads(trace.read_text().splitlines()[0])["oracle"]
+
+
+def test_trace_header_describes_the_replay_oracle(tmp_path, capsys):
+    assert _trace_oracle(tmp_path, capsys, {"kind": "replay"}) == {
+        "kind": "replay", "eos": 256, "source": SOURCE, "prompt_len": 200, "target_len": 8016,
+    }
+
+
+def test_trace_header_describes_the_markov_oracle(tmp_path, capsys):
+    assert _trace_oracle(tmp_path, capsys, {"kind": "markov", "order": 3}) == {
+        "kind": "markov", "eos": None, "source": SOURCE, "order": 3, "seed": 4,
+    }
+
+
+def test_trace_header_describes_the_external_oracle(tmp_path, capsys):
+    ids = list(bundled_bytes("repetitive.txt"))
+    server = OracleServer(lambda: MarkovOracle(ids, 2, 0), host="127.0.0.1", port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        oracle = _trace_oracle(tmp_path, capsys, {"kind": "external", "endpoint": server.address})
+    finally:
+        server.shutdown()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert oracle == {"kind": "external", "eos": None, "source": SOURCE, "endpoint": server.address}
+
+
+def test_sweep_sidecar_describes_the_oracle(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--config", DEMO, "--n-grid", "2", "--k-grid", "1",
+        "--max-new-tokens", "16", "--out", str(out),
+    )
+    assert code == 0
+    sidecar = json.loads((tmp_path / "sweep.csv.config.json").read_text())
+    assert (sidecar["seed"], sidecar["oracle"]) == (0, {
+        "kind": "replay", "eos": 256, "prompt_len": 600, "target_len": 7616,
+        "source": {"corpus": "bundled:repetitive.txt", "mode": "byte", "prompt_tokens": 600},
+    })
 
 
 def test_stats_bundled_byte_mode(capsys):

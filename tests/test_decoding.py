@@ -27,7 +27,6 @@ from specdec.oracle import (
     CostModel,
     ExternalOracle,
     MarkovOracle,
-    OracleSpec,
     ReplayOracle,
     simulate_cost,
 )
@@ -705,10 +704,10 @@ def test_trace_round_trip(tmp_path):
     prompt = [1, 2, 1, 2]
     opts = DecodeOptions(n_max=2, k_draft=2, max_new_tokens=6)
     res = speculative_decode(replay(prompt, [1, 2] * 10), prompt, opts, FLAT)
-    spec = OracleSpec(kind="replay", prompt=tuple(prompt), target=tuple([1, 2] * 10), eos=EOS)
     path = tmp_path / "trace.jsonl"
-    write_trace(path, res, spec.to_json(), FLAT)
+    write_trace(path, res, {"kind": "replay", "eos": EOS}, FLAT)
     header, steps = read_trace(path)
+    assert header["oracle"] == {"kind": "replay", "eos": EOS}
     assert header["prompt_len"] == 4
     assert header["n"] == 2 and header["k"] == 2
     assert header["cost_model"]["verify_base"] == 1.0

@@ -13,22 +13,24 @@ from specdec.metrics import (
     write_sweep_csv,
     SWEEP_CSV_HEADER,
 )
-from specdec.oracle import CostModel, OracleSpec, make_oracle
+from specdec.oracle import CostModel, ExternalOracle, ReplayOracle
 
 EOS = 999
 FLAT = CostModel(prefill_per_token=0.0, verify_base=1.0, verify_per_token=0.0)
 
 
-def periodic_spec(period, prompt_periods=2, target_periods=60):
-    prompt = period * prompt_periods
-    target = period * target_periods
-    return OracleSpec(kind="replay", prompt=tuple(prompt), target=tuple(target), eos=EOS)
+def replay(prompt, target):
+    """The prompt and a factory of fresh replay oracles over prompt + target."""
+    return list(prompt), lambda: ReplayOracle(list(prompt), list(target), EOS)
 
 
-def run_pair(spec, opts, cost):
-    prompt = list(spec.prompt)
-    base = baseline_decode(make_oracle(spec), prompt, opts, cost)
-    accel = speculative_decode(make_oracle(spec), prompt, opts, cost)
+def periodic_replay(period, prompt_periods=2, target_periods=60):
+    return replay(period * prompt_periods, period * target_periods)
+
+
+def run_pair(prompt, new_oracle, opts, cost):
+    base = baseline_decode(new_oracle(), list(prompt), opts, cost)
+    accel = speculative_decode(new_oracle(), list(prompt), opts, cost)
     return accel, base
 
 
@@ -38,9 +40,9 @@ def test_bound_arithmetic():
 
 
 def test_flat_cost_speedup_equals_tokens_per_step():
-    spec = periodic_spec([3, 4, 5, 6])
+    prompt, new_oracle = periodic_replay([3, 4, 5, 6])
     opts = DecodeOptions(n_max=2, k_draft=3, max_new_tokens=24)
-    accel, base = run_pair(spec, opts, FLAT)
+    accel, base = run_pair(prompt, new_oracle, opts, FLAT)
     m = compute_metrics(accel, base, FLAT)
     assert m.speedup_sim == pytest.approx(opts.max_new_tokens / m.steps, abs=1e-12)
     assert m.speedup_sim == pytest.approx(m.mean_committed_per_step, abs=1e-12)
@@ -51,9 +53,9 @@ def test_flat_cost_identity_with_full_drafts():
     # simulated speedup must land exactly on alpha*K + 1
     period = [10, 11, 12, 13, 14, 15]
     for k in (1, 2, 3, 5, 7, 8):
-        spec = periodic_spec(period)
+        prompt, new_oracle = periodic_replay(period)
         opts = DecodeOptions(n_max=2, k_draft=k, max_new_tokens=(k + 1) * 12)
-        accel, base = run_pair(spec, opts, FLAT)
+        accel, base = run_pair(prompt, new_oracle, opts, FLAT)
         m = compute_metrics(accel, base, FLAT)
         assert m.alpha == 1.0
         assert abs(m.speedup_sim - (1 + m.alpha * k)) < 1e-9
@@ -65,10 +67,10 @@ def test_flat_cost_identity_with_partial_alpha():
     # boundary where the last step accepted a full draft, then the identity
     # holds with alpha < 1
     period = [1, 2, 3, 4, 1, 2, 3, 5]
-    spec = periodic_spec(period, prompt_periods=2, target_periods=200)
+    prompt, new_oracle = periodic_replay(period, prompt_periods=2, target_periods=200)
     k = 2
     probe_opts = DecodeOptions(n_max=2, k_draft=k, max_new_tokens=600)
-    probe = speculative_decode(make_oracle(spec), list(spec.prompt), probe_opts, FLAT)
+    probe = speculative_decode(new_oracle(), list(prompt), probe_opts, FLAT)
     total = 0
     chosen = None
     for step in probe.steps:
@@ -79,40 +81,35 @@ def test_flat_cost_identity_with_partial_alpha():
             break
     assert chosen is not None, "no full-acceptance step boundary found"
     opts = DecodeOptions(n_max=2, k_draft=k, max_new_tokens=chosen)
-    accel, base = run_pair(spec, opts, FLAT)
+    accel, base = run_pair(prompt, new_oracle, opts, FLAT)
     m = compute_metrics(accel, base, FLAT)
     assert 0 < m.alpha < 1
     assert abs(m.speedup_sim - (1 + m.alpha * k)) < 1e-9
 
 
 def test_alpha_zero_means_no_speedup_under_flat_cost():
-    spec = OracleSpec(
-        kind="replay",
-        prompt=(50, 51),
-        target=tuple(range(40)),  # no repeated context anywhere
-        eos=EOS,
-    )
+    prompt, new_oracle = replay((50, 51), range(40))  # no repeated context anywhere
     opts = DecodeOptions(n_max=3, k_draft=4, max_new_tokens=30)
-    accel, base = run_pair(spec, opts, FLAT)
+    accel, base = run_pair(prompt, new_oracle, opts, FLAT)
     m = compute_metrics(accel, base, FLAT)
     assert m.alpha == 0.0
     assert m.speedup_sim <= 1.0 + 1e-9
 
 
 def test_compute_metrics_rejects_divergent_outputs():
-    spec = periodic_spec([7, 8])
+    prompt, new_oracle = periodic_replay([7, 8])
     opts = DecodeOptions(n_max=2, k_draft=2, max_new_tokens=8)
-    accel, base = run_pair(spec, opts, FLAT)
+    accel, base = run_pair(prompt, new_oracle, opts, FLAT)
     base.output[3] = 12345
     with pytest.raises(LosslessnessError, match="position 3"):
         compute_metrics(accel, base, FLAT)
 
 
 def test_metrics_recomputable_from_trace_fields():
-    spec = periodic_spec([5, 6, 7])
+    prompt, new_oracle = periodic_replay([5, 6, 7])
     opts = DecodeOptions(n_max=3, k_draft=4, max_new_tokens=21)
     cm = CostModel(prefill_per_token=0.001, verify_base=1.0, verify_per_token=0.05)
-    accel, base = run_pair(spec, opts, cm)
+    accel, base = run_pair(prompt, new_oracle, opts, cm)
     m = compute_metrics(accel, base, cm)
     # independent recomputation from the raw step records
     t_accel = 0.001 * accel.prompt_len + sum(
@@ -128,9 +125,9 @@ def test_metrics_recomputable_from_trace_fields():
 
 
 def test_sweep_shapes_and_k1_bound():
-    spec = periodic_spec([4, 5, 6, 7])
+    prompt, new_oracle = periodic_replay([4, 5, 6, 7])
     opts = DecodeOptions(max_new_tokens=24)
-    table = sweep(spec, [list(spec.prompt)], [2, 3], [1], opts, FLAT)
+    table = sweep(new_oracle, [prompt], [2, 3], [1], opts, FLAT)
     assert [(r.n, r.k) for r in table.rows] == [(2, 1), (3, 1)]
     for row in table.rows:
         assert 1.0 - 1e-9 <= row.speedup_sim <= 2.0 + 1e-9
@@ -139,25 +136,25 @@ def test_sweep_shapes_and_k1_bound():
 
 
 def test_sweep_row_ordering_and_dedup():
-    spec = periodic_spec([4, 5])
+    prompt, new_oracle = periodic_replay([4, 5])
     opts = DecodeOptions(max_new_tokens=8)
-    table = sweep(spec, [list(spec.prompt)], [3, 2, 3], [2, 1], opts, FLAT)
+    table = sweep(new_oracle, [prompt], [3, 2, 3], [2, 1], opts, FLAT)
     assert [(r.n, r.k) for r in table.rows] == [(2, 1), (2, 2), (3, 1), (3, 2)]
 
 
 def test_sweep_validates_grids():
-    spec = periodic_spec([4, 5])
+    prompt, new_oracle = periodic_replay([4, 5])
     opts = DecodeOptions(max_new_tokens=4)
     with pytest.raises(ValueError):
-        sweep(spec, [list(spec.prompt)], [], [1], opts)
+        sweep(new_oracle, [prompt], [], [1], opts)
     with pytest.raises(ValueError):
-        sweep(spec, [list(spec.prompt)], [2], [0], opts)
+        sweep(new_oracle, [prompt], [2], [0], opts)
     with pytest.raises(ValueError):
-        sweep(spec, [], [2], [1], opts)
+        sweep(new_oracle, [], [2], [1], opts)
 
 
 def test_sweep_records_errors_without_aborting():
-    bad = OracleSpec(kind="external", endpoint="127.0.0.1:1")  # nothing listens
+    bad = lambda: ExternalOracle("127.0.0.1:1")  # nothing listens
     opts = DecodeOptions(max_new_tokens=4)
     table = sweep(bad, [[1, 2]], [2], [1], opts, FLAT)
     assert len(table.rows) == 1
@@ -175,15 +172,15 @@ def test_sweep_runs_one_baseline_per_prompt(monkeypatch):
         return baseline_decode(*args, **kwargs)
 
     monkeypatch.setattr(metrics_mod, "baseline_decode", counting_baseline)
-    spec = periodic_spec([4, 5, 6])
-    prompts = [list(spec.prompt), list(spec.prompt)]
-    table = sweep(spec, prompts, [2, 3], [1, 2], DecodeOptions(max_new_tokens=12), FLAT)
+    prompt, new_oracle = periodic_replay([4, 5, 6])
+    prompts = [prompt, list(prompt)]
+    table = sweep(new_oracle, prompts, [2, 3], [1, 2], DecodeOptions(max_new_tokens=12), FLAT)
     assert len(calls) == len(prompts)
     assert len(table.rows) == 4 and not any(r.errors for r in table.rows)
 
 
 def test_sweep_baseline_failure_recorded_in_every_cell():
-    bad = OracleSpec(kind="external", endpoint="127.0.0.1:1")  # nothing listens
+    bad = lambda: ExternalOracle("127.0.0.1:1")  # nothing listens
     table = sweep(bad, [[1, 2]], [2, 3], [1, 2], DecodeOptions(max_new_tokens=4), FLAT)
     errors = [r.errors for r in table.rows]
     assert len(errors) == 4 and len(errors[0]) == 1 and errors[0][0].startswith("prompt 0: ")
@@ -191,9 +188,9 @@ def test_sweep_baseline_failure_recorded_in_every_cell():
 
 
 def test_sweep_csv_output(tmp_path):
-    spec = periodic_spec([4, 5, 6])
+    prompt, new_oracle = periodic_replay([4, 5, 6])
     opts = DecodeOptions(max_new_tokens=12)
-    table = sweep(spec, [list(spec.prompt)], [2], [1, 2], opts, FLAT)
+    table = sweep(new_oracle, [prompt], [2], [1, 2], opts, FLAT)
     csv_path = tmp_path / "sweep.csv"
     write_sweep_csv(table, csv_path, tmp_path / "sweep.json")
     lines = csv_path.read_text().strip().split("\n")
@@ -201,19 +198,17 @@ def test_sweep_csv_output(tmp_path):
     assert len(lines) == 3
     sidecar = json.loads((tmp_path / "sweep.json").read_text())
     assert sidecar["n_grid"] == [2]
-    assert sidecar["oracle"]["kind"] == "replay"
+    assert "oracle" not in sidecar  # the caller describes its oracle (the CLI does)
 
 
 def test_sweep_honours_fixed_level_only(tmp_path):
     # a short prompt: order 4 misses where orders 2-3 hit, so the two modes draft differently
-    spec = OracleSpec(
-        kind="replay", prompt=(1, 2, 3, 1, 2), target=(3, 1, 2, 4) * 3 + (1, 2, 4, 3) * 3, eos=EOS
-    )
+    prompt, new_oracle = replay((1, 2, 3, 1, 2), (3, 1, 2, 4) * 3 + (1, 2, 4, 3) * 3)
     results = {}
     for fixed in (False, True):
         opts = DecodeOptions(n_max=4, k_draft=3, max_new_tokens=24, fixed_level_only=fixed)
-        m = compute_metrics(*run_pair(spec, opts, FLAT), FLAT)
-        table = sweep(spec, [list(spec.prompt)], [4], [3], opts, FLAT)
+        m = compute_metrics(*run_pair(prompt, new_oracle, opts, FLAT), FLAT)
+        table = sweep(new_oracle, [prompt], [4], [3], opts, FLAT)
         row = table.rows[0]
         assert (row.alpha, row.mean_committed, row.speedup_sim, row.bound, row.steps) == (
             m.alpha, m.mean_committed_per_step, m.speedup_sim, m.theoretical_bound, m.steps

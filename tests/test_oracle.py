@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 from specdec.oracle import (
     CostModel,
     MarkovOracle,
-    OracleSpec,
     ReplayOracle,
-    make_oracle,
     simulate_cost,
 )
 
@@ -234,23 +232,7 @@ def test_simulate_cost_validates():
         CostModel(verify_base=-1.0)
 
 
-def test_make_oracle_from_specs():
-    r = make_oracle(OracleSpec(kind="replay", prompt=(1,), target=(2, 3), eos=9))
-    assert isinstance(r, ReplayOracle)
-    m = make_oracle(OracleSpec(kind="markov", corpus=(1, 2, 3, 1, 2), order=1, seed=0))
-    assert isinstance(m, MarkovOracle)
-    with pytest.raises(ValueError):
-        make_oracle(OracleSpec(kind="nonsense"))
-    with pytest.raises(ValueError):
-        make_oracle(OracleSpec(kind="replay"))
-
-
-def test_oracle_spec_json_shapes():
-    replay = OracleSpec(kind="replay", prompt=(1, 2), target=(3,), eos=9)
-    js = replay.to_json()
-    assert js["kind"] == "replay" and js["prompt"] == [1, 2]
-    sourced = OracleSpec(
-        kind="replay", prompt=(1, 2), target=(3,), eos=9, source={"corpus": "x.txt"}
-    )
-    js2 = sourced.to_json()
-    assert "prompt" not in js2 and js2["prompt_len"] == 2
+@pytest.mark.parametrize("eos", [None, True, 9.0, "9"])
+def test_replay_refuses_an_eos_that_is_not_an_int(eos):
+    with pytest.raises(ValueError, match="replay eos must be an integer"):
+        ReplayOracle([1], [2, 3], eos)

@@ -17,8 +17,7 @@ PUBLIC = [
     "sim_total_time", "sweep", "theoretical_bound", "write_sweep_csv",
     "NgramStore",
     "DEFAULT_COST_MODEL", "CostModel", "ExternalOracle", "MarkovOracle", "OracleConnectError",
-    "OracleError", "OracleProtocolError", "OracleSpec", "OracleTransportError", "ReplayOracle",
-    "make_oracle", "simulate_cost",
+    "OracleError", "OracleProtocolError", "OracleTransportError", "ReplayOracle", "simulate_cost",
     "OracleServer",
     "CorpusStats", "Vocab", "byte_vocab", "corpus_stats", "decode", "encode", "load_vocab",
     "read_corpus", "save_vocab", "train_bpe", "word_vocab",
@@ -28,7 +27,7 @@ MODULES = ["specdec"] + [f"specdec.{m.name}" for m in pkgutil.iter_modules(specd
 
 
 def test_package_all_is_pinned():
-    assert len(PUBLIC) == 43
+    assert len(PUBLIC) == 41
     assert specdec.__all__ == PUBLIC
 
 

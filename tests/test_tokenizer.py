@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdec.tokenizer import (
+    Vocab,
     byte_vocab,
     corpus_stats,
     decode,
@@ -166,6 +167,30 @@ def test_vocab_json_round_trip(tmp_path):
     assert loaded.eos == v.eos
     payload = json.loads(path.read_text())
     assert set(payload) == {"tokens", "eos"}
+
+
+@pytest.mark.parametrize("payload, match", [
+    ({"tokens": 5}, "tokens must be a list of base64 strings"),
+    ({"tokens": "AA=="}, "tokens must be a list of base64 strings"),
+    ({"tokens": ["AA==", 7]}, "tokens must be a list of base64 strings"),
+    ({"tokens": ["AA==", None]}, "tokens must be a list of base64 strings"),
+    ({"tokens": ["A?=="]}, "base64"),
+    ({"tokens": ["AA=="], "eos": "x"}, "eos must be an integer or null"),
+    ({"tokens": ["AA=="], "eos": True}, "eos must be an integer or null"),
+    ({"tokens": ["AA=="], "eos": 0.0}, "eos must be an integer or null"),
+    ({"tokens": ["AA=="], "eos": 1}, "out of range"),
+])
+def test_load_vocab_refuses_a_malformed_file(tmp_path, payload, match):
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=match):
+        load_vocab(path)
+
+
+def test_load_vocab_reads_a_file_without_eos(tmp_path):
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps({"tokens": ["AA==", "AQ=="]}))
+    assert load_vocab(path) == Vocab(tokens=(b"\x00", b"\x01"), eos=None)
 
 
 def test_vocab_rejects_duplicates():
