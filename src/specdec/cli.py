@@ -325,6 +325,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except (ConfigError, OracleError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    # a cell without a metric is all nan; if every cell is, say why once per reason
+    if all(math.isnan(row.alpha) for row in table.rows):
+        for reason in dict.fromkeys(e for row in table.rows for e in row.errors):
+            print(f"error: {reason}", file=sys.stderr)
+        return EXIT_ERROR
     if args.json:
         print(json.dumps({"rows": len(table.rows), "csv": str(out_csv), "sidecar": str(sidecar)}))
     else:

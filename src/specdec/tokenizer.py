@@ -10,6 +10,7 @@ from __future__ import annotations
 import base64
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,9 +45,17 @@ class Vocab:
     def __post_init__(self) -> None:
         if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("duplicate token strings in vocab")
+        # type(), not isinstance(): a bool is an int but no token id
+        if self.eos is not None and type(self.eos) is not int:
+            raise ValueError(f"eos must be an int or None, got {self.eos!r}")
         if self.eos is not None and not (0 <= self.eos < len(self.tokens)):
             raise ValueError(f"eos id {self.eos} out of range for vocab of size {len(self.tokens)}")
-        object.__setattr__(self, "_index", {tok: i for i, tok in enumerate(self.tokens)})
+        index = {tok: i for i, tok in enumerate(self.tokens)}
+        object.__setattr__(self, "_index", index)
+        # byte value -> id of its one-byte token, None where the vocab lacks it
+        table = tuple(index.get(bytes([b])) for b in range(256))
+        object.__setattr__(self, "_byte_table", table)
+        object.__setattr__(self, "_covers_bytes", None not in table)
 
     @property
     def size(self) -> int:
@@ -97,15 +106,17 @@ def train_bpe(corpus: bytes, target_vocab_size: int) -> Vocab:
 
     tokens: list[bytes] = [bytes([i]) for i in range(256)]
     existing = set(tokens)
-    segments: list[list[bytes]] = [
-        [bytes([b]) for b in run] for run in _RUN_RE.findall(corpus)
-    ]
+    # Each distinct run is segmented and merged once; its pairs count as
+    # often as the run occurs. Counter keeps first-occurrence order.
+    occurrences = Counter(_RUN_RE.findall(corpus))
+    segments: list[list[bytes]] = [[bytes([b]) for b in run] for run in occurrences]
+    weights = list(occurrences.values())
 
     while len(tokens) + 1 < target_vocab_size:
         counts: dict[tuple[bytes, bytes], int] = {}
-        for seg in segments:
+        for seg, weight in zip(segments, weights):
             for pair in zip(seg, seg[1:]):
-                counts[pair] = counts.get(pair, 0) + 1
+                counts[pair] = counts.get(pair, 0) + weight
         best: bytes | None = None
         best_count = 1  # pairs occurring once are not worth a vocab slot
         for (a, b), count in counts.items():
@@ -162,12 +173,10 @@ def _encode_run_bpe(run: bytes, vocab: Vocab) -> list[int]:
 
 
 def _byte_ids(data: bytes, vocab: Vocab) -> list[int]:
-    ids = []
-    for b in data:
-        i = vocab.index_of(bytes([b]))
-        if i is None:
-            raise ValueError(f"vocab does not cover byte 0x{b:02x}")
-        ids.append(i)
+    table = vocab._byte_table  # type: ignore[attr-defined]
+    ids = [table[b] for b in data]
+    if not vocab._covers_bytes and None in ids:  # type: ignore[attr-defined]
+        raise ValueError(f"vocab does not cover byte 0x{data[ids.index(None)]:02x}")
     return ids
 
 
@@ -184,6 +193,8 @@ def encode(text: bytes | str, vocab: Vocab, mode: str = "byte") -> list[int]:
     if mode == "byte":
         return _byte_ids(text, vocab)
     ids: list[int] = []
+    # bpe: each distinct run is encoded once per call
+    memo: dict[bytes, list[int]] = {}
     for run in _RUN_RE.findall(text):
         if mode == "whitespace":
             whole = vocab.index_of(run)
@@ -192,7 +203,10 @@ def encode(text: bytes | str, vocab: Vocab, mode: str = "byte") -> list[int]:
             else:
                 ids.extend(_byte_ids(run, vocab))
         else:
-            ids.extend(_encode_run_bpe(run, vocab))
+            run_ids = memo.get(run)
+            if run_ids is None:
+                run_ids = memo[run] = _encode_run_bpe(run, vocab)
+            ids.extend(run_ids)
     return ids
 
 
@@ -200,7 +214,7 @@ def decode(ids: list[int], vocab: Vocab) -> bytes:
     """Concatenate token strings. Raises on the first invalid id."""
     out = bytearray()
     for pos, token_id in enumerate(ids):
-        if not isinstance(token_id, int) or not (0 <= token_id < vocab.size):
+        if type(token_id) is not int or not (0 <= token_id < vocab.size):
             raise ValueError(f"invalid token id {token_id!r} at position {pos}")
         out += vocab.tokens[token_id]
     return bytes(out)

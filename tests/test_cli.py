@@ -300,6 +300,46 @@ def test_sweep_grid_over_the_limit_exits_1(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_sweep_with_every_cell_failed_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "unserved.json"
+    cfg.write_text(json.dumps({
+        "corpus": "bundled:repetitive.txt", "decode": {"max_new_tokens": 8},
+        "oracle": {"kind": "external", "endpoint": "127.0.0.1:1"},  # nothing listens
+    }))
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(
+        capsys, "sweep", "--config", str(cfg), "--n-grid", "2", "--k-grid", "1,2", "--out", str(out),
+    )
+    assert (code, stdout) == (1, "")
+    # the baseline failed, so both cells carry the same reason; it is printed once
+    [line] = err.splitlines()
+    assert line.startswith("error: prompt 0: OracleConnectError: cannot connect to 127.0.0.1:1")
+    assert out.read_text().splitlines()[1:] == ["2,1,nan,nan,nan,nan,nan,nan", "2,2,nan,nan,nan,nan,nan,nan"]
+    assert (tmp_path / "x.csv.config.json").exists()
+
+
+def test_sweep_with_some_cells_failed_exits_0(tmp_path, capsys, monkeypatch):
+    import specdec.metrics as metrics_mod
+
+    real = metrics_mod.speculative_decode
+
+    def fails_at_k2(oracle, prompt, options, cost_model=None):
+        if options.k_draft == 2:
+            raise RuntimeError("k2 broke")
+        return real(oracle, prompt, options, cost_model)
+
+    monkeypatch.setattr(metrics_mod, "speculative_decode", fails_at_k2)
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(
+        capsys, "sweep", "--config", DEMO, "--n-grid", "2", "--k-grid", "1,2",
+        "--max-new-tokens", "16", "--out", str(out),
+    )
+    assert (code, err) == (0, "")
+    assert stdout.startswith("wrote 2 rows")
+    ok, failed = out.read_text().splitlines()[1:]
+    assert "nan" not in ok and failed == "2,2,nan,nan,nan,nan,nan,nan"
+
+
 @pytest.mark.parametrize("grid, ok", [("1-1024", True), ("1-1025", False), ("1-1000,1001-1025", False)])
 def test_parse_grid_counts_values_before_expanding(grid, ok):
     from specdec.cli import _parse_grid

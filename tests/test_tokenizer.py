@@ -1,10 +1,12 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdec.tokenizer import (
+    MODES,
     Vocab,
     byte_vocab,
     corpus_stats,
@@ -216,3 +218,178 @@ def test_read_corpus_directory_lexicographic(tmp_path):
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         encode(b"x", byte_vocab(), "wordpiece")
+
+
+@pytest.mark.parametrize("eos", [True, False, 1.0, "1"])
+def test_vocab_refuses_an_eos_that_is_not_an_int(eos):
+    with pytest.raises(ValueError, match="eos must be an int or None"):
+        Vocab(tokens=(b"a", b"b"), eos=eos)
+
+
+@pytest.mark.parametrize("ids, bad", [([True, False], "True at position 0"), ([97, False], "False at position 1")])
+def test_decode_refuses_a_bool_id(ids, bad):
+    with pytest.raises(ValueError, match=f"invalid token id {bad}"):
+        decode(ids, byte_vocab())
+
+
+# References: the per-byte, per-occurrence tokenizer that the byte table,
+# the per-call run memo and run-weighted training must reproduce exactly.
+
+_REF_RUN_RE = re.compile(rb"\s+|\S+")
+
+
+def _ref_merge_run(seg, merged):
+    out, i = [], 0
+    while i < len(seg):
+        if i + 1 < len(seg) and seg[i] + seg[i + 1] == merged:
+            out.append(merged)
+            i += 2
+        else:
+            out.append(seg[i])
+            i += 1
+    return out
+
+
+def _ref_byte_ids(data, vocab):
+    ids = []
+    for b in data:
+        i = vocab.index_of(bytes([b]))
+        if i is None:
+            raise ValueError(f"vocab does not cover byte 0x{b:02x}")
+        ids.append(i)
+    return ids
+
+
+def _ref_encode_run_bpe(run, vocab):
+    parts = [bytes([b]) for b in run]
+    while len(parts) >= 2:
+        best_id = None
+        for a, b in zip(parts, parts[1:]):
+            mid = vocab.index_of(a + b)
+            if mid is not None and (best_id is None or mid < best_id):
+                best_id = mid
+        if best_id is None:
+            break
+        parts = _ref_merge_run(parts, vocab.tokens[best_id])
+    ids = []
+    for p in parts:
+        i = vocab.index_of(p)
+        if i is None:
+            raise ValueError(f"vocab does not cover byte 0x{p[0]:02x}")
+        ids.append(i)
+    return ids
+
+
+def _ref_encode(data, vocab, mode):
+    if mode == "byte":
+        return _ref_byte_ids(data, vocab)
+    ids = []
+    for run in _REF_RUN_RE.findall(data):
+        if mode == "whitespace":
+            whole = vocab.index_of(run)
+            ids.extend([whole] if whole is not None else _ref_byte_ids(run, vocab))
+        else:
+            ids.extend(_ref_encode_run_bpe(run, vocab))
+    return ids
+
+
+def _ref_train_bpe(corpus, target_vocab_size):
+    tokens = [bytes([i]) for i in range(256)]
+    existing = set(tokens)
+    segments = [[bytes([b]) for b in run] for run in _REF_RUN_RE.findall(corpus)]
+    while len(tokens) + 1 < target_vocab_size:
+        counts = {}
+        for seg in segments:
+            for pair in zip(seg, seg[1:]):
+                counts[pair] = counts.get(pair, 0) + 1
+        best, best_count = None, 1
+        for (a, b), count in counts.items():
+            merged = a + b
+            if merged in existing:
+                continue
+            if count > best_count or (count == best_count and best is not None and merged < best):
+                best, best_count = merged, count
+        if best is None:
+            break
+        tokens.append(best)
+        existing.add(best)
+        segments = [_ref_merge_run(seg, best) if len(seg) >= 2 else seg for seg in segments]
+    tokens.append(b"")
+    return Vocab(tokens=tuple(tokens), eos=len(tokens) - 1)
+
+
+def _outcome(fn, *args):
+    """A result or the error message, so that failures compare too."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+# Repeated runs from a small alphabet, so that memoised runs and merges occur.
+_PIECES = [b"ab", b"ba", b"abc", b"a", b"b", b"c", b" ", b"  ", b"\n", b"\x00", b"\xff", b"\xe9t"]
+_runs_text = st.lists(st.sampled_from(_PIECES), max_size=80).map(b"".join)
+# Words that recur as whole runs, so that training weights distinct runs.
+_words_text = st.lists(st.sampled_from([b"ab", b"abc", b"ba", b"cab", b"b", b"\xe9t"]), max_size=60).map(b" ".join)
+_any_bytes = st.one_of(st.binary(max_size=200), _runs_text, _words_text)
+_BPE = train_bpe(b"ab abc abc ba ab\n\x00\xff ab c " * 4, 290)
+_WORDS = word_vocab(b"ab abc  ba\n\xe9t ab")
+
+
+def _permuted_vocab(perm):
+    return Vocab(tokens=tuple(bytes([b]) for b in perm) + (b"ab", b""), eos=257)
+
+
+@pytest.mark.parametrize("vocab", [byte_vocab(), _WORDS, _BPE], ids=["byte_vocab", "word_vocab", "bpe"])
+@given(data=_any_bytes)
+@settings(max_examples=80)
+def test_encode_matches_reference(vocab, data):
+    for mode in MODES:
+        assert encode(data, vocab, mode) == _ref_encode(data, vocab, mode)
+
+
+@given(perm=st.permutations(range(256)), data=_any_bytes)
+@settings(max_examples=60)
+def test_encode_with_permuted_byte_ids_matches_reference(perm, data):
+    vocab = _permuted_vocab(perm)
+    for mode in MODES:
+        assert encode(data, vocab, mode) == _ref_encode(data, vocab, mode)
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_encode_with_missing_bytes_fails_like_reference(draw):
+    missing = draw.draw(st.sets(st.sampled_from(b"abc \n\x00\xff"), min_size=1))
+    tokens = [bytes([b]) for b in range(256) if b not in missing]
+    vocab = Vocab(tokens=tuple(draw.draw(st.permutations(tokens))) + (b"ab", b"c ", b""))
+    data = draw.draw(_any_bytes)
+    for mode in MODES:
+        assert _outcome(encode, data, vocab, mode) == _outcome(_ref_encode, data, vocab, mode)
+
+
+def test_missing_byte_error_names_the_first_uncovered_byte():
+    vocab = Vocab(tokens=tuple(bytes([b]) for b in range(256) if b not in b"xy"))
+    with pytest.raises(ValueError, match="^vocab does not cover byte 0x79$"):
+        encode(b"aay bx", vocab, "byte")
+
+
+@given(corpus=_any_bytes.filter(bool), size=st.integers(257, 330))
+@settings(max_examples=60)
+def test_train_bpe_matches_reference(corpus, size):
+    vocab = train_bpe(corpus, size)
+    assert vocab == _ref_train_bpe(corpus, size)
+    assert encode(corpus, vocab, "bpe") == _ref_encode(corpus, vocab, "bpe")
+
+
+def test_no_table_or_memo_crosses_vocabs_or_calls():
+    # Two byte layouts, a vocab with a gap, and a BPE vocab whose merges
+    # differ run by run, over the same inputs in alternation: each encode
+    # must match its own reference, whatever was encoded just before.
+    reversed_ids = _permuted_vocab(range(255, -1, -1))
+    gap = Vocab(tokens=tuple(bytes([b]) for b in range(256) if b != ord("c")))
+    other_bpe = train_bpe(b"ba bac bac cab ba " * 4, 280)
+    inputs = [b"ab abc ab", b"abc abc\nab", b"", b"cab ba c", b"\xe9t ab ab"] * 3
+    for data in inputs:
+        for vocab in (byte_vocab(), reversed_ids, gap, _BPE, other_bpe, _WORDS):
+            for mode in MODES:
+                assert _outcome(encode, data, vocab, mode) == _outcome(_ref_encode, data, vocab, mode)
