@@ -168,7 +168,8 @@ def sweep(
     against one baseline decode per prompt, each decode on a fresh oracle
     from `new_oracle()`; cell values are arithmetic means across prompts.
     Per-run failures, a factory that raises included, are recorded in the
-    row and do not abort the sweep. Rows are ordered n then k ascending;
+    row, and under `config["errors"]` by cell ("n=N,k=K") when there are
+    any, and do not abort the sweep. Rows are ordered n then k ascending;
     cells are independent, so completion order can never change the table.
     The config does not describe the oracle; the caller adds that.
     """
@@ -222,6 +223,9 @@ def sweep(
         "fixed_level_only": options.fixed_level_only,
         "aggregation": "arithmetic_mean",
     }
+    errors = {f"n={r.n},k={r.k}": r.errors for r in rows if r.errors}
+    if errors:
+        config["errors"] = errors
     return SweepTable(rows=rows, config=config)
 
 

@@ -8,9 +8,10 @@ to byte decomposition so encoding is total.
 from __future__ import annotations
 
 import base64
+import heapq
 import json
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,26 +113,53 @@ def train_bpe(corpus: bytes, target_vocab_size: int) -> Vocab:
     segments: list[list[bytes]] = [[bytes([b]) for b in run] for run in occurrences]
     weights = list(occurrences.values())
 
+    # pair -> weighted count, and pair -> the segments that hold it
+    counts: dict[tuple[bytes, bytes], int] = {}
+    holders: dict[tuple[bytes, bytes], set[int]] = defaultdict(set)
+    for i, (seg, weight) in enumerate(zip(segments, weights)):
+        for pair in zip(seg, seg[1:]):
+            counts[pair] = counts.get(pair, 0) + weight
+            holders[pair].add(i)
+    # (-count, merged, pair) for every pair counted more than once; an entry
+    # whose count has changed since is stale and dropped when it surfaces,
+    # so the top live entry is the most frequent pair, ties going to the
+    # lexicographically smallest merged string.
+    heap = [(-count, a + b, (a, b)) for (a, b), count in counts.items() if count > 1]
+    heapq.heapify(heap)
+
     while len(tokens) + 1 < target_vocab_size:
-        counts: dict[tuple[bytes, bytes], int] = {}
-        for seg, weight in zip(segments, weights):
-            for pair in zip(seg, seg[1:]):
-                counts[pair] = counts.get(pair, 0) + weight
         best: bytes | None = None
-        best_count = 1  # pairs occurring once are not worth a vocab slot
-        for (a, b), count in counts.items():
-            merged = a + b
-            if merged in existing:
-                continue
-            if count > best_count or (count == best_count and best is not None and merged < best):
-                best, best_count = merged, count
+        while heap:
+            neg, merged, pair = heap[0]
+            if counts.get(pair) == -neg and merged not in existing:
+                best = merged
+                break
+            heapq.heappop(heap)
         if best is None:
-            break
+            break  # pairs occurring once are not worth a vocab slot
         tokens.append(best)
         existing.add(best)
-        for i, seg in enumerate(segments):
-            if len(seg) >= 2:
-                segments[i] = _merge_run(seg, best)
+        # `_merge_run` merges every split of `best`, so only the segments
+        # holding one of its splits change; their pairs are recounted.
+        touched = set().union(*(holders.get((best[:j], best[j:]), ()) for j in range(1, len(best))))
+        changed = set()
+        for i in touched:
+            seg, weight = segments[i], weights[i]
+            for pair in zip(seg, seg[1:]):
+                counts[pair] -= weight
+                holders[pair].discard(i)
+                changed.add(pair)
+            seg = segments[i] = _merge_run(seg, best)
+            for pair in zip(seg, seg[1:]):
+                counts[pair] = counts.get(pair, 0) + weight
+                holders[pair].add(i)
+                changed.add(pair)
+        for pair in changed:
+            count = counts[pair]
+            if count > 1:
+                heapq.heappush(heap, (-count, pair[0] + pair[1], pair))
+            elif not count:
+                del counts[pair], holders[pair]
 
     tokens.append(b"")
     return Vocab(tokens=tuple(tokens), eos=len(tokens) - 1)

@@ -338,6 +338,8 @@ def test_sweep_with_some_cells_failed_exits_0(tmp_path, capsys, monkeypatch):
     assert stdout.startswith("wrote 2 rows")
     ok, failed = out.read_text().splitlines()[1:]
     assert "nan" not in ok and failed == "2,2,nan,nan,nan,nan,nan,nan"
+    sidecar = json.loads((tmp_path / "x.csv.config.json").read_text())
+    assert sidecar["errors"] == {"n=2,k=2": ["prompt 0: RuntimeError: k2 broke"]}
 
 
 @pytest.mark.parametrize("grid, ok", [("1-1024", True), ("1-1025", False), ("1-1000,1001-1025", False)])

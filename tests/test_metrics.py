@@ -199,6 +199,31 @@ def test_sweep_csv_output(tmp_path):
     sidecar = json.loads((tmp_path / "sweep.json").read_text())
     assert sidecar["n_grid"] == [2]
     assert "oracle" not in sidecar  # the caller describes its oracle (the CLI does)
+    assert "errors" not in sidecar  # no cell failed
+
+
+def test_sweep_sidecar_records_the_errors_of_a_partly_failed_sweep(tmp_path, monkeypatch):
+    import specdec.metrics as metrics_mod
+
+    real = metrics_mod.speculative_decode
+
+    def fails_on_the_second_prompt(oracle, prompt, options, cost_model=None):
+        if prompt[0] == 5:
+            raise RuntimeError(f"k={options.k_draft} broke")
+        return real(oracle, prompt, options, cost_model)
+
+    monkeypatch.setattr(metrics_mod, "speculative_decode", fails_on_the_second_prompt)
+    prompt, new_oracle = periodic_replay([4, 5, 6])
+    table = sweep(new_oracle, [prompt, prompt[1:]], [2], [1, 2], DecodeOptions(max_new_tokens=12), FLAT)
+    csv_path, sidecar_path = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+    write_sweep_csv(table, csv_path, sidecar_path)
+    assert json.loads(sidecar_path.read_text())["errors"] == {
+        "n=2,k=1": ["prompt 1: RuntimeError: k=1 broke"],
+        "n=2,k=2": ["prompt 1: RuntimeError: k=2 broke"],
+    }
+    # each cell's means come from the prompt that decoded; the CSV has no error column
+    alone = sweep(new_oracle, [prompt], [2], [1, 2], DecodeOptions(max_new_tokens=12), FLAT)
+    assert csv_path.read_text() == alone.to_csv()
 
 
 def test_sweep_honours_fixed_level_only(tmp_path):

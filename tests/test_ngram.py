@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from specdec.decoding import build_draft
 from specdec.ngram import NgramStore
+from specdec.oracle import CostModel
 
 from conftest import brute_force_window_counts
 
@@ -305,17 +306,155 @@ def test_store_matches_reference_differential(script):
     counted = committed if runtime_update else init
     ref = {n: _reference_rows(counted, n) for n in range(2, n_max + 1)}
     assert store.snapshot() == _reference_snapshot(ref, n_max)
-    # Every counted window, and only those, is indexed by the rows of its
-    # suffixes, longest first: the rows themselves, not copies.
+    # Every counted window, and only those, has one id, and its path holds the
+    # rows of its suffixes, longest first: the rows themselves, not copies.
     windows = {tuple(counted[max(0, i - n_max + 1) : i]) for i in range(len(counted))}
-    assert set(store._paths) == windows
-    for window, path in store._paths.items():
+    assert set(store._ids) == windows
+    assert sorted(store._ids.values()) == list(range(len(store._paths)))
+    assert len(store._next) == len(store._paths)
+    by_id = {i: window for window, i in store._ids.items()}
+    for window, i in store._ids.items():
+        path = store._paths[i]
         assert len(path) == len(window)
-        assert all(row is store._rows[window[i:]] for i, row in enumerate(path))
-    # Rows hold only ints and None, so the collector never traverses them, and
-    # a collection untracks every int-tuple key. A path tuple holds dicts, so
-    # CPython keeps it tracked: one tracked object per indexed window. A young
-    # collection is enough: any older key was untracked when it was promoted.
+        assert all(row is store._rows[window[j:]] for j, row in enumerate(path))
+    # A cached transition (id, t) leads to the id of the window after t.
+    for i, trans in enumerate(store._next):
+        for t, j in (trans or {}).items():
+            assert by_id[j] == (by_id[i] + (t,))[-(n_max - 1) :]
+    if runtime_update:
+        tail = tuple(committed[-(n_max - 1) :])
+        assert store._tail == store._ids.get(tail, tail)
+    # Rows and transition maps hold only ints and None, so the collector never
+    # traverses them, and a collection untracks every int-tuple key. A path
+    # tuple holds dicts, so CPython keeps it tracked: one tracked object per
+    # counted window. A young collection is enough: any older key was
+    # untracked when it was promoted.
     gc.collect(0)
     assert not any(gc.is_tracked(row) for row in store._rows.values())
-    assert not any(gc.is_tracked(key) for key in (*store._rows, *store._paths))
+    assert not any(gc.is_tracked(trans) for trans in store._next if trans is not None)
+    assert not any(gc.is_tracked(key) for key in (*store._rows, *store._ids))
+
+
+# ------------------------------------ the cached walk against the plain walk
+
+
+class _RefStore:
+    """The store as it was before windows had ids: every commit and every
+    drafted token builds its context tuple and looks it up."""
+
+    def __init__(self, token_ids, n_max, *, runtime_update=True):
+        self.n_max, self.runtime_update = n_max, runtime_update
+        self.committed, self._rows, self._paths = [], {}, {}
+        self._commit(token_ids)
+
+    def update(self, *tokens):
+        if self.runtime_update:
+            self._commit(tokens)
+        else:
+            self.committed.extend(tokens)
+
+    def _commit(self, tokens):
+        seq, rows, paths = self.committed, self._rows, self._paths
+        width = 1 - self.n_max
+        for nxt in tokens:
+            window = tuple(seq[width:])
+            seq.append(nxt)
+            path = paths.get(window)
+            if path is None:
+                path = paths[window] = tuple(
+                    rows.setdefault(window[i:], {None: nxt}) for i in range(len(window)))
+            for row in path:
+                count = row[nxt] = row.get(nxt, 0) + 1
+                top = row[None]
+                if top != nxt and count >= row[top]:
+                    row[None] = nxt
+
+    def draft(self, tail, k, *, min_level=2, counts=None, cost_model=None):
+        rows, width = self._rows, self.n_max - 1
+        ctx = tuple(tail[-width:])
+        tokens, levels = [], []
+        vp = counts and cost_model.verify_per_token
+        if vp:
+            hits, reached = counts
+            vb = cost_model.verify_base
+            expected = cum = 1.0
+        for j in range(k):
+            m = len(ctx)
+            row = rows.get(ctx)
+            while row is None and m >= min_level:
+                m -= 1
+                row = rows.get(ctx[-m:])
+            if row is None or m < min_level - 1:
+                break
+            tok = row[None]
+            level = m + 1
+            tokens.append(tok)
+            levels.append(level)
+            if vp:
+                cum *= hits[level] / reached[level]
+                if cum * (vb + vp * (1 + j)) <= vp * expected:
+                    return tokens, levels, j
+                expected += cum
+            ctx = (ctx + (tok,))[-width:]
+        return tokens, levels, len(tokens)
+
+
+@st.composite
+def walk_scripts(draw):
+    """A token stream cut into the initial tokens and update batches, with
+    drafts from the committed tail interleaved. Streams either repeat a short
+    motif with rare noise, so most windows and transitions recur, or never
+    repeat a token, so every window is new."""
+    n_max = draw(st.integers(2, 6))
+    size = draw(st.integers(0, 120))
+    if draw(st.booleans()):
+        motif = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+        noise = draw(st.lists(st.integers(0, 19), min_size=size, max_size=size))
+        stream = [t if t >= 18 else motif[i % len(motif)] for i, t in enumerate(noise)]
+    else:
+        stream = list(range(100, 100 + size))
+    cut = draw(st.integers(0, size))
+    batches, rest = [], stream[cut:]
+    while rest:
+        n = draw(st.integers(1, 8))
+        batches.append(rest[:n])
+        rest = rest[n:]
+    rate = st.lists(st.integers(1, 30), min_size=n_max + 1, max_size=n_max + 1)
+    drafts = st.lists(st.tuples(
+        st.integers(1, 8),
+        st.integers(2, n_max + 1),
+        st.one_of(st.none(), st.tuples(rate, rate)),
+        st.sampled_from([0.0, 0.05, 0.5]),
+    ), max_size=3)
+    ops = [("draft", d) for d in draw(drafts)]
+    for batch in batches:
+        ops.append(("update", batch))
+        ops += [("draft", d) for d in draw(drafts)]
+    return n_max, draw(st.booleans()), stream[:cut], ops
+
+
+@given(walk_scripts())
+@settings(max_examples=200, deadline=None)
+def test_cached_walk_matches_plain_walk(script):
+    n_max, runtime_update, init, ops = script
+    store = NgramStore(init, n_max, runtime_update=runtime_update)
+    ref = _RefStore(init, n_max, runtime_update=runtime_update)
+    for kind, arg in ops:
+        if kind == "update":
+            store.update(*arg)
+            ref.update(*arg)
+        else:
+            k, min_level, counts, vp = arg
+            if counts is not None:
+                # the decoder's rates: 1 <= hits[l] <= reached[l]
+                counts = ([min(h, r) for h, r in zip(*counts)], counts[1])
+            kw = dict(min_level=min_level, counts=counts,
+                      cost_model=CostModel(verify_per_token=vp))
+            expected = ref.draft(ref.committed, k, **kw)
+            # from the committed list itself (the cached tail) and from a copy
+            assert store.draft(store.committed, k, **kw) == expected
+            assert store.draft(list(store.committed), k, **kw) == expected
+        assert store.committed == ref.committed
+        assert store._rows == ref._rows  # argmax keys included
+        assert store.snapshot() == NgramStore.snapshot(ref)
+
