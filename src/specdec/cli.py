@@ -66,63 +66,52 @@ class RunConfig:
     report_path: str | None
 
 
-def _flag(decode_raw: dict, key: str, default: bool) -> bool:
-    value = decode_raw.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"decode.{key} must be true or false, got {value!r}")
-    return value
+# The keys a config may hold and their defaults; a dict is a nested section.
+# A value must have its default's type (see _RULES); null stands for a
+# default of None.
+_DEFAULTS = {
+    "seed": 0,
+    "corpus": "",
+    "prompt_tokens": 64,
+    "tokenizer": {"mode": "byte", "vocab_path": None, "train_size": 512},
+    "oracle": {"kind": "replay", "order": 2, "endpoint": None},
+    "decode": asdict(DecodeOptions()),
+    "cost_model": asdict(DEFAULT_COST_MODEL),
+    "trace_path": None,
+    "report_path": None,
+}
 
-
-def _int(obj: dict, section: str, key: str, default: int) -> int:
-    value = obj.get(key, default)
-    # type(), not isinstance(): JSON true and false load as bools, which are ints
-    if type(value) is not int:
-        name = f"{section}.{key}" if section else key
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _str(obj: dict, section: str, key: str, default: str | None) -> str | None:
-    value = obj.get(key, default)
-    if not isinstance(value, str) and not (value is None and default is None):
-        name = f"{section}.{key}" if section else key
-        raise ConfigError(f"{name} must be a string, got {value!r}")
-    return value
-
-
-def _cost(cost_raw: dict, key: str, default: float) -> float:
-    value = cost_raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"cost_model.{key} must be a finite number, got {value!r}")
-    return float(value)
-
-
-# The keys a config may hold, at the top level ("") and in each nested object.
-_CONFIG_KEYS = {
-    "": "seed corpus prompt_tokens tokenizer oracle decode cost_model trace_path report_path",
-    "decode": "n_max k_draft max_new_tokens runtime_update stop_at_eos fixed_level_only",
-    "oracle": "kind order endpoint",
-    "tokenizer": "mode vocab_path train_size",
-    "cost_model": "prefill_per_token verify_base verify_per_token",
+# What a default's type admits from JSON, and how to say so. type(), not
+# isinstance(): JSON true and false load as bools, which are ints.
+_RULES = {
+    bool: ("true or false", lambda v: type(v) is bool),
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
+    str: ("a string", lambda v: type(v) is str),
+    dict: ("a JSON object", lambda v: type(v) is dict),
 }
 
 
-def _sections(raw: dict) -> list[dict]:
-    # the nested objects of a config, in _CONFIG_KEYS order, once all its keys are known
-    objs = []
-    for section, known in _CONFIG_KEYS.items():
-        obj = raw.get(section, {}) if section else raw
-        if not isinstance(obj, dict):
-            raise ConfigError(f"config key {section!r} must be a JSON object")
-        unknown = sorted(set(obj) - set(known.split()))
-        if unknown:
-            where = f"{section}." if section else ""
-            raise ConfigError("unknown config key " + ", ".join(where + k for k in unknown))
-        objs.append(obj)
-    return objs[1:]
+def _read(obj: dict, defaults: dict, where: str = "") -> dict:
+    """`obj`'s settings over `defaults`, each checked against its default's
+    type; a nested section is read the same way. Errors name "section.key"."""
+    unknown = sorted(set(obj) - set(defaults))
+    if unknown:
+        raise ConfigError("unknown config key " + ", ".join(where + key for key in unknown))
+    values = {}
+    for key, default in defaults.items():
+        value = obj.get(key, default)
+        what, admits = _RULES[str if default is None else type(default)]
+        if not (admits(value) or (value is None and default is None)):
+            raise ConfigError(f"{where}{key} must be {what}, got {value!r}")
+        values[key] = _read(value, default, f"{where}{key}.") if type(default) is dict else value
+    return values
 
 
 def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunConfig:
+    """The run config in the JSON file at `path`. Each attribute of
+    `overrides` that is not None and is named after a config key,
+    "section.key" when nested, replaces that key's value."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -132,28 +121,39 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    decode_raw, oracle_raw, tok_raw, cost_raw = _sections(raw)
+    values = _read(raw, _DEFAULTS)
+    for dest, value in vars(overrides or argparse.Namespace()).items():
+        section, _, key = dest.rpartition(".")
+        obj = values[section] if section else values
+        if value is not None and key in obj:
+            obj[key] = value
 
+    # each dataclass checks its own values, in messages that begin with the field
+    try:
+        decode = DecodeOptions(**values["decode"])
+        decode.validate()
+    except ValueError as exc:
+        raise ConfigError(f"decode.{exc}") from None
+    try:
+        cost = CostModel(**values["cost_model"])
+    except ValueError as exc:
+        raise ConfigError(f"cost_model.{exc}") from None
+
+    tok, oracle = values["tokenizer"], values["oracle"]
     cfg = RunConfig(
-        seed=_int(raw, "", "seed", 0),
-        corpus_ref=_str(raw, "", "corpus", ""),
-        prompt_tokens=_int(raw, "", "prompt_tokens", 64),
-        tokenizer_mode=_str(tok_raw, "tokenizer", "mode", "byte"),
-        vocab_path=_str(tok_raw, "tokenizer", "vocab_path", None),
-        bpe_train_size=_int(tok_raw, "tokenizer", "train_size", 512),
-        oracle_kind=_str(oracle_raw, "oracle", "kind", "replay"),
-        markov_order=_int(oracle_raw, "oracle", "order", 2),
-        endpoint=_str(oracle_raw, "oracle", "endpoint", None),
-        decode=DecodeOptions(**{
-            key: _flag(decode_raw, key, default) if isinstance(default, bool)
-            else _int(decode_raw, "decode", key, default)
-            for key, default in asdict(DecodeOptions()).items()
-        }),
-        cost=CostModel(**{
-            key: _cost(cost_raw, key, default) for key, default in asdict(DEFAULT_COST_MODEL).items()
-        }),
-        trace_path=_str(raw, "", "trace_path", None),
-        report_path=_str(raw, "", "report_path", None),
+        seed=values["seed"],
+        corpus_ref=values["corpus"],
+        prompt_tokens=values["prompt_tokens"],
+        tokenizer_mode=tok["mode"],
+        vocab_path=tok["vocab_path"],
+        bpe_train_size=tok["train_size"],
+        oracle_kind=oracle["kind"],
+        markov_order=oracle["order"],
+        endpoint=oracle["endpoint"],
+        decode=decode,
+        cost=cost,
+        trace_path=values["trace_path"],
+        report_path=values["report_path"],
     )
     if not cfg.corpus_ref:
         raise ConfigError(f"config {path} is missing 'corpus'")
@@ -170,22 +170,7 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     if not cfg.corpus_ref.startswith("bundled:") and not Path(cfg.corpus_ref).exists():
         raise ConfigError(f"corpus file not found: {cfg.corpus_ref}")
     if cfg.vocab_path is not None and not Path(cfg.vocab_path).is_file():
-        raise ConfigError(f"vocab file not found: {cfg.vocab_path}")
-
-    if overrides is not None:
-        given = vars(overrides)
-        for key, obj, attr in (
-            ("n", cfg.decode, "n_max"), ("k", cfg.decode, "k_draft"),
-            ("max_new_tokens", cfg.decode, "max_new_tokens"), ("seed", cfg, "seed"),
-            ("trace", cfg, "trace_path"), ("report", cfg, "report_path"),
-        ):
-            if given.get(key) is not None:
-                setattr(obj, attr, given[key])
-        if given.get("no_runtime_update"):
-            cfg.decode.runtime_update = False
-        if given.get("fixed_level_only"):
-            cfg.decode.fixed_level_only = True
-    cfg.decode.validate()
+        raise ConfigError(f"tokenizer.vocab_path file not found: {cfg.vocab_path}")
     return cfg
 
 
@@ -349,14 +334,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
         else:
             print(f"error: corpus not found: {args.corpus}", file=sys.stderr)
             return EXIT_ERROR
-        whole = b"".join(resolve_corpus_ref(f) for f in files)
+        texts = [resolve_corpus_ref(f) for f in files]
+        whole = b"".join(texts)
         vocab = _build_vocab(args.mode, args.vocab, args.train_size, whole)
         rows = []
-        for f in files:
-            st = corpus_stats(resolve_corpus_ref(f), vocab, args.mode)
+        for f, text in [*zip(files, texts), ("<aggregate>", whole)]:
+            st = corpus_stats(text, vocab, args.mode)
             rows.append({"file": f, "words": st.word_count, "tokens": st.token_count, "ratio": st.ratio})
-        agg = corpus_stats(whole, vocab, args.mode)
-        rows.append({"file": "<aggregate>", "words": agg.word_count, "tokens": agg.token_count, "ratio": agg.ratio})
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -404,29 +388,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="decode once with both loops and report metrics")
-    run.add_argument("--config", required=True, help="JSON run config")
-    run.add_argument("--n", type=int, help="override n_max")
-    run.add_argument("--k", type=int, help="override k_draft")
-    run.add_argument("--max-new-tokens", type=int, dest="max_new_tokens")
-    run.add_argument("--seed", type=int)
-    run.add_argument("--no-runtime-update", action="store_true", dest="no_runtime_update")
-    run.add_argument("--fixed-level-only", action="store_true", dest="fixed_level_only")
-    run.add_argument("--trace", help="write a JSONL step trace here")
-    run.add_argument("--report", help="write a human-readable report here")
-    run.add_argument("--json", action="store_true", help="machine-parseable stdout")
+    # flags that run and sweep share; a dest named after a config key
+    # ("section.key" when nested) overrides it when given (see load_config)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="JSON run config")
+    common.add_argument("--seed", type=int)
+    common.add_argument("--max-new-tokens", type=int, dest="decode.max_new_tokens")
+    common.add_argument(
+        "--no-runtime-update", action="store_false", default=None, dest="decode.runtime_update"
+    )
+    common.add_argument(
+        "--fixed-level-only", action="store_true", default=None, dest="decode.fixed_level_only"
+    )
+    common.add_argument("--json", action="store_true", help="machine-parseable stdout")
+
+    run = sub.add_parser(
+        "run", parents=[common], help="decode once with both loops and report metrics"
+    )
+    run.add_argument("--n", type=int, dest="decode.n_max", help="override n_max")
+    run.add_argument("--k", type=int, dest="decode.k_draft", help="override k_draft")
+    run.add_argument("--trace", dest="trace_path", help="write a JSONL step trace here")
+    run.add_argument("--report", dest="report_path", help="write a human-readable report here")
     run.set_defaults(func=cmd_run)
 
-    sw = sub.add_parser("sweep", help="grid sweep over n and k")
-    sw.add_argument("--config", required=True)
+    sw = sub.add_parser("sweep", parents=[common], help="grid sweep over n and k")
     sw.add_argument("--n-grid", required=True, help="e.g. 2-6 or 2,3,5")
     sw.add_argument("--k-grid", required=True, help="e.g. 1-8")
     sw.add_argument("--out", required=True, help="CSV output path")
-    sw.add_argument("--seed", type=int)
-    sw.add_argument("--max-new-tokens", type=int, dest="max_new_tokens")
-    sw.add_argument("--no-runtime-update", action="store_true", dest="no_runtime_update")
-    sw.add_argument("--fixed-level-only", action="store_true", dest="fixed_level_only")
-    sw.add_argument("--json", action="store_true")
     sw.set_defaults(func=cmd_sweep)
 
     st = sub.add_parser("stats", help="word/token counts for a corpus")
@@ -452,12 +440,6 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     return args.func(args)
-
-
-def serve_oracle_entry(argv: list[str] | None = None) -> int:
-    """Standalone `serve-oracle` console script."""
-    args = ["serve-oracle"] + (argv if argv is not None else sys.argv[1:])
-    return main(args)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ by the benchmark in `perfbench/`, and never mixed into these numbers.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -34,9 +34,6 @@ __all__ = [
     "sweep",
     "write_sweep_csv",
 ]
-
-SWEEP_CSV_HEADER = "n,k,alpha,mean_committed,speedup_sim,bound,steps,output_len"
-
 
 class LosslessnessError(RuntimeError):
     """Accelerated output diverged from the baseline output. Always a bug."""
@@ -141,6 +138,11 @@ class SweepRow:
     errors: list[str] = field(default_factory=list)
 
 
+# a row's CSV columns: its fields bar the errors, which the sidecar holds
+_CSV_COLUMNS = [f.name for f in fields(SweepRow) if f.name != "errors"]
+SWEEP_CSV_HEADER = ",".join(_CSV_COLUMNS)
+
+
 @dataclass
 class SweepTable:
     rows: list[SweepRow]
@@ -149,10 +151,8 @@ class SweepTable:
     def to_csv(self) -> str:
         lines = [SWEEP_CSV_HEADER]
         for r in self.rows:
-            lines.append(
-                f"{r.n},{r.k},{r.alpha:.10g},{r.mean_committed:.10g},"
-                f"{r.speedup_sim:.10g},{r.bound:.10g},{r.steps:.10g},{r.output_len:.10g}"
-            )
+            values = (getattr(r, name) for name in _CSV_COLUMNS)
+            lines.append(",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in values))
         return "\n".join(lines) + "\n"
 
 
@@ -217,10 +217,7 @@ def sweep(
         "n_grid": sorted(set(n_grid)),
         "k_grid": sorted(set(k_grid)),
         "prompt_lens": [len(p) for p in prompt_set],
-        "max_new_tokens": options.max_new_tokens,
-        "runtime_update": options.runtime_update,
-        "stop_at_eos": options.stop_at_eos,
-        "fixed_level_only": options.fixed_level_only,
+        **{key: value for key, value in asdict(options).items() if key not in ("n_max", "k_draft")},
         "aggregation": "arithmetic_mean",
     }
     errors = {f"n={r.n},k={r.k}": r.errors for r in rows if r.errors}

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import socket
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .server import MAX_LINE_BYTES
 
@@ -69,9 +70,15 @@ class CostModel:
     verify_per_token: float = 0.05
 
     def __post_init__(self) -> None:
-        for name in ("prefill_per_token", "verify_base", "verify_per_token"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # a bool is an int; a nan or inf cost would make every simulated time nan or inf
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{f.name} must be >= 0")
+            # an int is stored as the float a trace header writes: 1 as 1.0
+            object.__setattr__(self, f.name, float(value))
 
     def to_json(self) -> dict:
         return asdict(self)

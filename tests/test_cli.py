@@ -1,13 +1,16 @@
 import base64
 import json
 import threading
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specdec.bundled import bundled_bytes, bundled_path
-from specdec.cli import load_config, main
+from specdec.cli import _DEFAULTS, ConfigError, load_config, main
 from specdec.decoding import DecodeOptions, DecodeResult, DecodeTotals
-from specdec.oracle import DEFAULT_COST_MODEL, ExternalOracle, MarkovOracle
+from specdec.oracle import DEFAULT_COST_MODEL, CostModel, ExternalOracle, MarkovOracle
 from specdec.server import OracleServer
 
 
@@ -173,6 +176,66 @@ def test_corpus_only_config_loads_the_library_defaults(tmp_path):
     loaded = load_config(str(cfg))
     assert loaded.decode == DecodeOptions()
     assert loaded.cost == DEFAULT_COST_MODEL
+
+
+def _changed(value):
+    """A value of `value`'s type other than `value`."""
+    if type(value) is bool:
+        return not value
+    return value + "x" if type(value) is str else value + 1
+
+
+@pytest.mark.parametrize("section, cls, attr", [
+    ("decode", DecodeOptions, "decode"), ("cost_model", CostModel, "cost"),
+])
+def test_config_sections_take_every_field_of_their_dataclass(tmp_path, section, cls, attr):
+    changed = {f.name: _changed(getattr(cls(), f.name)) for f in fields(cls)}
+    cfg = tmp_path / "fields.json"
+    cfg.write_text(json.dumps({"corpus": "bundled:repetitive.txt", section: changed}))
+    assert getattr(load_config(str(cfg)), attr) == cls(**changed)
+    # and no other key: one the dataclass lacks is refused with it named
+    cfg.write_text(json.dumps({"corpus": "bundled:repetitive.txt", section: {**changed, "extra": 1}}))
+    with pytest.raises(ConfigError, match=f"unknown config key {section}.extra$"):
+        load_config(str(cfg))
+
+
+# every (section, key) a config may set, "" for the top level
+SETTINGS = [
+    (section, key) for section, table in _DEFAULTS.items() if type(table) is dict for key in table
+] + [("", key) for key, default in _DEFAULTS.items() if type(default) is not dict]
+
+# RunConfig attributes of the settings that no settings dataclass holds
+RUN_CONFIG_ATTR = {
+    "corpus": "corpus_ref", "mode": "tokenizer_mode", "train_size": "bpe_train_size",
+    "kind": "oracle_kind", "order": "markov_order",
+}
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+
+
+def _loaded(cfg, section, key):
+    if section in ("decode", "cost_model"):
+        return getattr(cfg.decode if section == "decode" else cfg.cost, key)
+    return getattr(cfg, RUN_CONFIG_ATTR.get(key, key))
+
+
+@pytest.mark.parametrize("section, key", SETTINGS)
+@settings(max_examples=60, deadline=None)
+@given(value=JSON_SCALARS)
+def test_any_json_scalar_loads_as_the_typed_value_or_names_its_key(tmp_path_factory, section, key, value):
+    config = {"corpus": "bundled:repetitive.txt"}
+    (config.setdefault(section, {}) if section else config)[key] = value
+    cfg = tmp_path_factory.getbasetemp() / f"scalar_{section}_{key}.json"
+    cfg.write_text(json.dumps(config))  # NaN and Infinity included
+    default = _DEFAULTS[section][key] if section else _DEFAULTS[key]
+    try:
+        loaded = _loaded(load_config(str(cfg)), section, key)
+    except ConfigError as exc:
+        assert f"{section}.{key}".lstrip(".") in str(exc)
+        return
+    typed = str if default is None else type(default)
+    assert type(loaded) is typed or (loaded is None and default is None)
+    assert loaded == value  # never nan, which equals nothing
 
 
 @pytest.mark.parametrize("value", [-5, 0])

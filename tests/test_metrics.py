@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -12,6 +13,8 @@ from specdec.metrics import (
     theoretical_bound,
     write_sweep_csv,
     SWEEP_CSV_HEADER,
+    SweepRow,
+    SweepTable,
 )
 from specdec.oracle import CostModel, ExternalOracle, ReplayOracle
 
@@ -200,6 +203,24 @@ def test_sweep_csv_output(tmp_path):
     assert sidecar["n_grid"] == [2]
     assert "oracle" not in sidecar  # the caller describes its oracle (the CLI does)
     assert "errors" not in sidecar  # no cell failed
+
+
+def test_sweep_csv_writes_the_grid_point_as_ints_and_means_to_10_digits():
+    row = SweepRow(n=2, k=3, alpha=1 / 3, mean_committed=2.0, speedup_sim=1.23456789012,
+                   bound=1.5, steps=7.0, output_len=12.0, errors=["not a column"])
+    assert SweepTable(rows=[row], config={}).to_csv() == (
+        "n,k,alpha,mean_committed,speedup_sim,bound,steps,output_len\n"
+        "2,3,0.3333333333,2,1.23456789,1.5,7,12\n"
+    )
+
+
+def test_sweep_sidecar_holds_every_decode_option_bar_the_grid_axes():
+    prompt, new_oracle = periodic_replay([4, 5, 6])
+    opts = DecodeOptions(max_new_tokens=12, runtime_update=False, stop_at_eos=False, fixed_level_only=True)
+    config = sweep(new_oracle, [prompt], [2], [1], opts, FLAT).config
+    options = {k: v for k, v in asdict(opts).items() if k not in ("n_max", "k_draft")}
+    assert {k: config[k] for k in options} == options
+    assert set(config) - set(options) == {"cost_model", "n_grid", "k_grid", "prompt_lens", "aggregation"}
 
 
 def test_sweep_sidecar_records_the_errors_of_a_partly_failed_sweep(tmp_path, monkeypatch):

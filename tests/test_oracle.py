@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -230,6 +232,19 @@ def test_simulate_cost_validates():
         simulate_cost(cm, "decode", 1)
     with pytest.raises(ValueError):
         CostModel(verify_base=-1.0)
+
+
+@pytest.mark.parametrize("key", ["prefill_per_token", "verify_base", "verify_per_token"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "0.5"])
+def test_cost_model_refuses_a_value_that_is_not_a_finite_number(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+        CostModel(**{key: value})
+
+
+def test_cost_model_stores_an_int_as_a_float():
+    cm = CostModel(verify_base=1)
+    assert type(cm.verify_base) is float and cm.verify_base == 1.0
+    assert '"verify_base": 1.0,' in json.dumps(cm.to_json())  # as a trace header writes it
 
 
 @pytest.mark.parametrize("eos", [None, True, 9.0, "9"])
