@@ -22,7 +22,9 @@ from .decoding import (
     _atomic_write,
 )
 from .metrics import LosslessnessError, compute_metrics, sweep, write_sweep_csv, _decode_fresh
-from .oracle import DEFAULT_COST_MODEL, CostModel, ExternalOracle, MarkovOracle, OracleError, ReplayOracle
+from .oracle import (
+    DEFAULT_COST_MODEL, CostModel, ExternalOracle, MarkovOracle, OracleError, ReplayOracle, _is_finite_number,
+)
 from .server import OracleServer
 from .tokenizer import (
     MODES,
@@ -86,7 +88,7 @@ _DEFAULTS = {
 _RULES = {
     bool: ("true or false", lambda v: type(v) is bool),
     int: ("an integer", lambda v: type(v) is int),
-    float: ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
+    float: ("a finite number", _is_finite_number),
     str: ("a string", lambda v: type(v) is str),
     dict: ("a JSON object", lambda v: type(v) is dict),
 }

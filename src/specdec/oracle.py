@@ -20,7 +20,7 @@ import math
 import socket
 from dataclasses import asdict, dataclass, fields
 
-from .server import MAX_LINE_BYTES
+from .server import _EXTEND_AT_REQUEST, _EXTEND_REPLY_RE, _EXTEND_REQUEST, MAX_LINE_BYTES
 
 __all__ = [
     "OracleError",
@@ -57,6 +57,19 @@ class OracleProtocolError(OracleError):
 _RECV_BYTES = 1 << 16
 
 
+def _is_finite_number(value) -> bool:
+    """Whether `value` is a finite float, or an int that a float holds
+    exactly; a bool is an int, but neither. A nan or inf cost would make
+    every simulated time nan or inf, and 2**53 + 1 or 10**400 would be
+    stored as another number or not at all."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value) and float(value) == value
+    except OverflowError:  # an int past the largest float
+        return False
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Affine per-call latency in abstract time units.
@@ -72,8 +85,7 @@ class CostModel:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            # a bool is an int; a nan or inf cost would make every simulated time nan or inf
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            if not _is_finite_number(value):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
             if value < 0:
                 raise ValueError(f"{f.name} must be >= 0")
@@ -217,10 +229,12 @@ class ExternalOracle:
     """Client for the newline-delimited JSON oracle protocol.
 
     One request in flight per connection. Each request is one line written
-    with one `sendall`, and its reply line is read with `recv`. A reply line
-    over `MAX_LINE_BYTES` is refused with `OracleProtocolError` and the
-    socket closed, so a server that never sends a newline cannot grow the
-    client's memory without limit.
+    with one `sendall`, and its reply line is read with `recv`. An `extend`
+    reply spelled exactly as `OracleServer` writes it, with one prediction
+    per token sent, is read without json; any other goes through
+    `_reply`'s checks. A reply line over `MAX_LINE_BYTES` is refused with
+    `OracleProtocolError` and the socket closed, so a server that never
+    sends a newline cannot grow the client's memory without limit.
 
     `truncate_cache` checks the position locally and sends nothing: it
     records it, and the next `extend` carries it as `"at"`, so the server
@@ -261,17 +275,20 @@ class ExternalOracle:
         return self._consumed
 
     def _request(self, payload: dict) -> dict:
-        return self._exchange(json.dumps(payload).encode("utf-8") + b"\n")
+        return self._reply(self._exchange(json.dumps(payload).encode("utf-8") + b"\n"))
 
-    def _exchange(self, line: bytes) -> dict:
-        """Send one request line and return its checked reply object."""
+    def _exchange(self, line: bytes) -> bytes | bytearray:
+        """Send one request line and return its reply line."""
         try:
             self._sock.sendall(line)
-            reply_line = self._read_line()
+            return self._read_line()
         except OSError as exc:
             raise OracleTransportError(
                 f"transport failure after {self._consumed} consumed tokens: {exc}"
             ) from exc
+
+    def _reply(self, reply_line: bytes | bytearray) -> dict:
+        """The checked reply object of a reply line."""
         try:
             reply = json.loads(reply_line)
         except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError on non-UTF-8
@@ -285,7 +302,8 @@ class ExternalOracle:
     def _read_line(self) -> bytes | bytearray:
         """The reply line. One request is in flight, so its reply ends the
         bytes received: they are read up to the first chunk that holds a
-        newline, and `json.loads` refuses any bytes after that newline."""
+        newline, and the reply's reader refuses any bytes after that
+        newline."""
         chunk = self._sock.recv(_RECV_BYTES)
         if chunk.endswith(b"\n"):
             return chunk  # the whole reply in one segment, the common case
@@ -306,20 +324,24 @@ class ExternalOracle:
 
     def extend(self, tokens: list[int]) -> list[int]:
         _check_batch(tokens)
-        # Byte-identical to json.dumps for int ids and positions. repr, not
-        # str: a str id stays a quoted string and a bool reads True, which
-        # the server refuses, so neither is ever taken as an id.
+        # Byte-identical to json.dumps for int ids. repr, not str: a str id
+        # stays a quoted string and a bool reads True, which the server
+        # refuses, so neither is ever taken as an id.
         ids = ", ".join(map(repr, tokens))
         if self._at is None:
-            line = '{"op": "extend", "tokens": [%s]}\n' % ids
+            line = _EXTEND_REQUEST % ids
         else:
-            line = '{"op": "extend", "tokens": [%s], "at": %r}\n' % (ids, self._at)
-        preds = self._exchange(line.encode()).get("predictions")
-        # type(), not isinstance(): JSON true and false load as bools, which are ints
-        if not isinstance(preds, list) or len(preds) != len(tokens) or not all(
-            type(p) is int for p in preds
-        ):
-            raise OracleProtocolError(f"bad predictions for batch of {len(tokens)}: {preds!r}")
+            line = _EXTEND_AT_REQUEST % (ids, self._at)
+        reply_line = self._exchange(line.encode())
+        fast = _EXTEND_REPLY_RE.fullmatch(reply_line)
+        preds = None if fast is None else list(map(int, fast[1].split(b", ")))
+        if preds is None or len(preds) != len(tokens):
+            preds = self._reply(reply_line).get("predictions")
+            # type(), not isinstance(): JSON true and false load as bools, which are ints
+            if not isinstance(preds, list) or len(preds) != len(tokens) or not all(
+                type(p) is int for p in preds
+            ):
+                raise OracleProtocolError(f"bad predictions for batch of {len(tokens)}: {preds!r}")
         self._at = None
         self._consumed += len(tokens)
         return preds

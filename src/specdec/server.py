@@ -1,14 +1,17 @@
 """Newline-delimited JSON oracle server.
 
 Each connection gets its own oracle instance from the factory; connections
-never share cache state. Requests are handled strictly in order, one reply
-line per request line, each written with one `sendall`; a successful
-`extend` reply is formatted without `json.dumps`, byte-identical to it.
-Malformed requests get an error reply and the connection stays open; a
-request line longer than MAX_LINE_BYTES gets an error reply and the
-connection is closed. At most MAX_CONNECTIONS
-connections are served at once; one over the cap gets an error line and is
-closed without a thread being started for it.
+never share cache state. A connection whose oracle the factory fails to
+build gets one error line naming the failure and is closed. Requests are
+handled strictly in order, one reply line per request line, each written
+with one `sendall`. An `extend` request as `ExternalOracle` spells it is
+read without json, and the reply to it written and read without json (see
+`_EXTEND_REQUEST`); every other spelling takes the json path. Malformed
+requests get an error reply and the connection stays open; a request line
+longer than MAX_LINE_BYTES gets an error reply and the connection is
+closed. At most MAX_CONNECTIONS connections are served at once; one over
+the cap gets an error line and is closed without a thread being started
+for it.
 
 An `extend` may carry `"at": L`: the oracle is truncated to L consumed
 tokens and then extended, so a client rolls back a rejected draft in the
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import socketserver
 import threading
 from typing import Callable
@@ -45,6 +49,23 @@ MAX_LINE_BYTES = 1 << 20
 MAX_CONNECTIONS = 64
 
 
+# The two hot lines, each written by one peer and read by the other without
+# json: an `extend` request exactly as `ExternalOracle` writes it, and a
+# prediction reply exactly as `_handle_request` writes it. Both spellings are
+# json.dumps's for int ids, and each pattern admits only that spelling of
+# non-negative ints of at most 18 digits, so int() is cheap and never
+# refuses. Any other line, and any id or position the pattern does not
+# admit, is read by json.loads and checked in full.
+_EXTEND_REQUEST = '{"op": "extend", "tokens": [%s]}\n'
+_EXTEND_AT_REQUEST = '{"op": "extend", "tokens": [%s], "at": %d}\n'
+_EXTEND_REPLY = '{"ok": true, "predictions": [%s]}\n'
+_INT = rb"(?:0|[1-9][0-9]{0,17})"
+_EXTEND_REQUEST_RE = re.compile(
+    rb'\{"op": "extend", "tokens": \[(%s(?:, %s)*)\](?:, "at": (%s))?\}\n?' % (_INT, _INT, _INT)
+)
+_EXTEND_REPLY_RE = re.compile(rb'\{"ok": true, "predictions": \[(%s(?:, %s)*)\]\}\n' % (_INT, _INT))
+
+
 def _line(reply: dict) -> bytes:
     return json.dumps(reply).encode("utf-8") + b"\n"
 
@@ -54,54 +75,79 @@ def _handle_request(oracle, payload: bytes, vocab_size: int, truncate) -> bytes:
     oracle's `truncate_cache`) are read from the oracle once per
     connection, as a wrapped oracle forwards each lookup at some cost."""
     try:
+        fast = _EXTEND_REQUEST_RE.fullmatch(payload)
+        if fast is not None:
+            tokens = list(map(int, fast[1].split(b", ")))
+            if max(tokens) < vocab_size:  # else the json path words the refusal
+                at = fast[2]
+                return _extend(oracle, tokens, None if at is None else int(at), truncate)
+        return _handle_json(oracle, payload, vocab_size, truncate)
+    except Exception as exc:  # noqa: BLE001 - report, keep the connection alive
+        return _line({"ok": False, "error": f"{type(exc).__name__}: {exc}"})
+
+
+def _handle_json(oracle, payload: bytes, vocab_size: int, truncate) -> bytes:
+    """The reply line to a request line that the fast pattern does not admit."""
+    try:
         req = json.loads(payload)
     except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError on non-UTF-8
         return _line({"ok": False, "error": f"malformed json: {exc}"})
     if not isinstance(req, dict) or "op" not in req:
         return _line({"ok": False, "error": "request must be an object with an 'op' field"})
     op = req["op"]
-    try:
-        if op == "extend":
-            tokens = req.get("tokens")
-            # type(), not isinstance(): JSON true and false load as bools, which are ints
-            if (
-                not isinstance(tokens, list)
-                or not tokens
-                or not all(type(t) is int and 0 <= t < vocab_size for t in tokens)
-            ):
-                return _line({
-                    "ok": False,
-                    "error": f"extend needs a non-empty list of token ids in [0, {vocab_size})",
-                })
-            at = req.get("at")
-            if at is not None:
-                consumed = oracle.consumed_len
-                if type(at) is not int or not 0 <= at <= consumed:
-                    return _line({
-                        "ok": False,
-                        "error": f"'at' must be an int in [0, {consumed}], got {at!r}",
-                    })
-                truncate(at)
-            ids = ", ".join(map(repr, oracle.extend(tokens)))
-            # byte-identical to _line({"ok": True, "predictions": ...}) for int predictions
-            return ('{"ok": true, "predictions": [%s]}\n' % ids).encode()
-        if op == "reset":
-            oracle.reset()
-            return _line({"ok": True})
-        if op == "info":
-            eos = oracle.eos if oracle.eos is not None else -1
-            return _line({"ok": True, "vocab_size": vocab_size, "eos": eos, "at": True})
-        return _line({"ok": False, "error": f"unknown op {op!r}"})
-    except Exception as exc:  # noqa: BLE001 - report, keep the connection alive
-        return _line({"ok": False, "error": f"{type(exc).__name__}: {exc}"})
+    if op == "extend":
+        tokens = req.get("tokens")
+        # type(), not isinstance(): JSON true and false load as bools, which are ints
+        if (
+            not isinstance(tokens, list)
+            or not tokens
+            or not all(type(t) is int and 0 <= t < vocab_size for t in tokens)
+        ):
+            return _line({
+                "ok": False,
+                "error": f"extend needs a non-empty list of token ids in [0, {vocab_size})",
+            })
+        at = req.get("at")
+        if at is not None and type(at) is not int:
+            return _at_refused(oracle, at)
+        return _extend(oracle, tokens, at, truncate)
+    if op == "reset":
+        oracle.reset()
+        return _line({"ok": True})
+    if op == "info":
+        eos = oracle.eos if oracle.eos is not None else -1
+        return _line({"ok": True, "vocab_size": vocab_size, "eos": eos, "at": True})
+    return _line({"ok": False, "error": f"unknown op {op!r}"})
+
+
+def _extend(oracle, tokens: list[int], at: int | None, truncate) -> bytes:
+    """The reply to an `extend` of checked `tokens`, after truncating to
+    `at` unless it is None. The oracle contract has `truncate` refuse a
+    position out of range with ValueError before any change."""
+    if at is not None:
+        try:
+            truncate(at)
+        except ValueError:
+            return _at_refused(oracle, at)
+    return (_EXTEND_REPLY % ", ".join(map(repr, oracle.extend(tokens)))).encode()
+
+
+def _at_refused(oracle, at) -> bytes:
+    consumed = oracle.consumed_len
+    return _line({"ok": False, "error": f"'at' must be an int in [0, {consumed}], got {at!r}"})
 
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
-        oracle = self.server.oracle_factory()  # type: ignore[attr-defined]
+        send = self.connection.sendall
+        try:
+            oracle = self.server.oracle_factory()  # type: ignore[attr-defined]
+        except Exception as exc:  # noqa: BLE001 - blame the server, not the transport
+            log.exception("oracle factory failed for %s:%s", *self.client_address[:2])
+            send(_line({"ok": False, "error": f"oracle factory failed: {type(exc).__name__}: {exc}"}))
+            return
         log.info("connection from %s:%s", *self.client_address)
         vocab_size, truncate = oracle.vocab_size, oracle.truncate_cache
-        send = self.connection.sendall
         while True:
             line = self.rfile.readline(MAX_LINE_BYTES + 1)
             if not line:

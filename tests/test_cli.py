@@ -107,6 +107,18 @@ def test_run_bad_cost_exits_1(tmp_path, capsys, key, value):
     assert f"cost_model.{key}" in err
 
 
+@pytest.mark.parametrize("key", ["prefill_per_token", "verify_base", "verify_per_token"])
+@pytest.mark.parametrize("value", [2**53 + 1, 10**400])
+def test_run_cost_no_float_holds_exactly_exits_1(tmp_path, capsys, key, value):
+    # 2**53 + 1 would load as 2**53, and float(10**400) overflows
+    cfg = tmp_path / "cost.json"
+    cfg.write_text(json.dumps({"corpus": "bundled:repetitive.txt", "cost_model": {key: value}}))
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert f"cost_model.{key} must be a finite number" in err
+
+
 @pytest.mark.parametrize(
     "section, key",
     [("", "seed"), ("", "prompt_tokens"), ("oracle", "order"), ("decode", "n_max"),

@@ -241,6 +241,14 @@ def test_cost_model_refuses_a_value_that_is_not_a_finite_number(key, value):
         CostModel(**{key: value})
 
 
+@pytest.mark.parametrize("key", ["prefill_per_token", "verify_base", "verify_per_token"])
+@pytest.mark.parametrize("value", [2**53 + 1, 10**400])
+def test_cost_model_refuses_an_int_no_float_holds_exactly(key, value):
+    # 2**53 + 1 would be stored as 2**53, and float(10**400) overflows
+    with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+        CostModel(**{key: value})
+
+
 def test_cost_model_stores_an_int_as_a_float():
     cm = CostModel(verify_base=1)
     assert type(cm.verify_base) is float and cm.verify_base == 1.0

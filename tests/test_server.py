@@ -22,7 +22,14 @@ from specdec.oracle import (
 from specdec.bundled import bundled_bytes
 from specdec.decoding import DecodeOptions, speculative_decode
 from specdec import server as server_module
-from specdec.server import MAX_LINE_BYTES, OracleServer, _handle_request
+from specdec.server import (
+    _EXTEND_REPLY,
+    _EXTEND_REPLY_RE,
+    _EXTEND_REQUEST_RE,
+    MAX_LINE_BYTES,
+    OracleServer,
+    _handle_request,
+)
 from specdec.tokenizer import byte_vocab, encode
 
 
@@ -611,3 +618,198 @@ def test_handle_request_answers_every_request(request):
         assert oracle.consumed_len == 3  # a refused request changes nothing
     elif request["op"] == "extend":
         assert all(0 <= p < 7 for p in reply["predictions"])
+
+
+def test_a_failing_oracle_factory_is_blamed_on_the_server(monkeypatch):
+    monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 1)
+    corpus = [i % 7 for i in range(50)]
+    builds = []
+
+    def factory():
+        builds.append(None)
+        if len(builds) == 1:
+            raise MemoryError("no room")
+        return MarkovOracle(corpus, order=2, seed=5)
+
+    server = OracleServer(factory)
+    server.start_background()
+    try:
+        with pytest.raises(OracleError) as refused:
+            ExternalOracle(server.address)
+        assert type(refused.value) is OracleError  # not a transport error
+        assert str(refused.value) == "server error: oracle factory failed: MemoryError: no room"
+        # the one slot is released: the next connection is served
+        deadline = time.monotonic() + 5
+        while True:
+            try:
+                later = ExternalOracle(server.address)
+                break
+            except OracleError:
+                assert time.monotonic() < deadline, "slot not freed after the factory failed"
+                time.sleep(0.01)
+        assert later.extend([1, 2, 3]) == MarkovOracle(corpus, order=2, seed=5).extend([1, 2, 3])
+        later.close()
+    finally:
+        server.shutdown()
+
+
+def _answers(lines):
+    """The reply to each line, and the consumed length it leaves, from a
+    fresh oracle that has consumed 3 tokens."""
+    corpus = [i % 7 for i in range(50)]
+    answers = []
+    for line in lines:
+        oracle = MarkovOracle(corpus, order=2, seed=5)
+        oracle.extend([1, 2, 3])
+        answers.append((_handle_request(oracle, line, 7, oracle.truncate_cache), oracle.consumed_len))
+    return answers
+
+
+_IDS = st.integers(0, 6) | st.integers(7, 10**30) | st.integers(-3, -1)
+_AT = st.integers(-2, 5) | st.integers(10**17, 10**20) | _JSON
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    request=st.fixed_dictionaries(
+        {"op": st.sampled_from(["extend", "reset", "info"]) | _JSON},
+        optional={"tokens": _JSON | st.lists(_IDS, max_size=5), "at": _AT},
+    )
+    | st.fixed_dictionaries(
+        {"op": st.just("extend"), "tokens": st.lists(st.integers(0, 6), min_size=1, max_size=5)},
+        optional={"at": st.integers(-2, 5)},
+    )
+    | st.fixed_dictionaries(
+        {"op": st.just("extend"), "tokens": st.lists(_IDS, min_size=1, max_size=5)}, optional={"at": _AT}
+    )
+)
+def test_canonical_and_compact_requests_are_answered_alike(request):
+    # The canonical spelling is the one `ExternalOracle` writes, and the
+    # server reads an extend in it without json; the compact one always
+    # takes the json path.
+    canonical = json.dumps(request).encode() + b"\n"
+    compact = json.dumps(request, separators=(",", ":")).encode() + b"\n"
+    first, second = _answers([canonical, compact])
+    assert first == second
+
+
+_SPELLED_ID = (
+    st.integers(0, 6).map(str)
+    | st.integers(0, 99).map(lambda i: f"0{i}")  # a leading zero, which JSON refuses
+    | st.integers(10**18, 10**40).map(str)  # 19 or more digits
+    | st.just("9" * 5000)  # more digits than int() converts
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ids=st.lists(st.integers(0, 6).map(str), min_size=1, max_size=5) | st.lists(_SPELLED_ID, min_size=1, max_size=5),
+    at=st.none() | st.integers(0, 5).map(str) | _SPELLED_ID,
+)
+def test_extend_ids_the_fast_pattern_refuses_take_the_json_path(ids, at):
+    at_part = "" if at is None else ', "at": ' + at
+    canonical = ('{"op": "extend", "tokens": [%s]%s}\n' % (", ".join(ids), at_part)).encode()
+    compact = canonical.replace(b", ", b",").replace(b": ", b":")
+    first, second = _answers([canonical, compact])
+    if any(len(s) > 1 and s[0] == "0" for s in ids + [at or ""]):
+        # json's message names a column, which differs between the spellings
+        for reply, consumed in (first, second):
+            assert reply.startswith(b'{"ok": false, "error": "malformed json: ')
+            assert consumed == 3
+    else:
+        assert first == second
+
+
+class _ScriptedSocket:
+    """Stands in for a connected socket: each line sent is answered with
+    the next of `replies`."""
+
+    def __init__(self, replies) -> None:
+        self._replies = list(replies)
+        self._unread = b""
+
+    def sendall(self, line) -> None:
+        self._unread += self._replies.pop(0)
+
+    def recv(self, size) -> bytes:
+        chunk, self._unread = self._unread[:size], self._unread[size:]
+        return chunk
+
+    def close(self) -> None:
+        pass
+
+
+def _extend_outcome(reply_line, batch):
+    """What `ExternalOracle.extend` of `batch` tokens returns, or raises,
+    when the server answers `reply_line`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(socket, "create_connection", lambda *_, **__: _ScriptedSocket([INFO_LINE, reply_line]))
+        remote = ExternalOracle("scripted:1")
+    try:
+        return remote.extend([1] * batch)
+    except OracleError as exc:
+        return type(exc), str(exc)
+    finally:
+        remote.close()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    reply=st.fixed_dictionaries(
+        {"ok": st.just(True) | _JSON},
+        optional={"predictions": st.lists(st.integers(-2, 10**20), max_size=4) | _JSON, "error": _JSON},
+    )
+    | st.fixed_dictionaries({"ok": st.just(True), "predictions": st.lists(st.integers(0, 10**20), max_size=4)})
+    | st.fixed_dictionaries({"ok": st.just(True), "predictions": st.lists(st.integers(0, 300), min_size=2, max_size=2)})
+    | _JSON,
+    batch=st.integers(1, 4) | st.just(2),
+)
+def test_canonical_and_compact_replies_read_alike(reply, batch):
+    # The canonical spelling is the one the server writes, and the client
+    # reads a prediction reply in it without json.
+    canonical = json.dumps(reply).encode() + b"\n"
+    compact = json.dumps(reply, separators=(",", ":")).encode() + b"\n"
+    assert _extend_outcome(canonical, batch) == _extend_outcome(compact, batch)
+
+
+@pytest.mark.parametrize("reply", [b'{"ok": true, "predictions": [01]}\n',
+                                   b'{"ok": true, "predictions": [1, 02]}\n'])
+def test_a_prediction_with_a_leading_zero_is_a_protocol_error(reply):
+    kind, message = _extend_outcome(reply, len(reply.split(b",")))
+    assert kind is OracleProtocolError and "unparseable" in message
+
+
+def test_the_lines_each_end_writes_take_the_other_ends_fast_path(markov_server):
+    # A formatting edit on either end that silently turned a fast path off
+    # fails here.
+    prefill = [t % 7 for t in range(600)]
+    scripted = [(_EXTEND_REPLY % ", ".join(["1"] * n)).encode() for n in (600, 2, 1)]
+    endpoint, requests, _ = one_connection_server([INFO_LINE, *scripted])
+    remote = ExternalOracle(endpoint)
+    remote.extend(prefill)
+    remote.truncate_cache(598)
+    remote.extend([3, 4])
+    remote.truncate_cache(0)
+    remote.extend([5])
+    remote.close()
+    sent = requests[1:]
+    assert [bool(_EXTEND_REQUEST_RE.fullmatch(line)) for line in sent] == [True] * 3
+    assert [_EXTEND_REQUEST_RE.fullmatch(line)[2] for line in sent] == [None, b"598", b"0"]
+    # the server's replies to those very lines match the client's pattern
+    server, _ = markov_server
+    host, port = server.address.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5) as sock, sock.makefile("rb") as f:
+        for line, batch in zip(sent, (600, 2, 1)):
+            sock.sendall(line)
+            reply = _EXTEND_REPLY_RE.fullmatch(f.readline())
+            assert reply is not None and len(reply[1].split(b", ")) == batch
+
+
+@pytest.mark.parametrize("at", ["4", "99", "true", "-1", "1.0"])
+@pytest.mark.parametrize("separator", [", ", ","])
+def test_an_at_out_of_range_is_refused_in_the_same_words_on_either_path(at, separator):
+    line = ('{"op": "extend", "tokens": [4], "at": %s}\n' % at).replace(", ", separator).encode()
+    [(reply, consumed)] = _answers([line])
+    expected = {"ok": False, "error": f"'at' must be an int in [0, 3], got {json.loads(at)!r}"}
+    assert reply == json.dumps(expected).encode() + b"\n"
+    assert consumed == 3
