@@ -20,6 +20,13 @@ after the first one that does not pay is looked up.
 Each step commits between 1 and k_draft+1 tokens, so the accelerated loop
 never takes more steps (hence more oracle calls) than the baseline.
 
+The loop knows how many tokens the oracle has consumed without asking it: a
+verify of [carried] + drafted consumes all of it, and the committed prefix
+then ends one token (the new carried one) past the accepted draft tokens.
+So the oracle holds tokens past the committed prefix exactly when a verify
+rejected a drafted token, and only then does the next step call
+`truncate_cache`; the loop never reads `consumed_len`.
+
 The accelerated loop logs each step as a few flat appends (drafted tokens
 and levels with per-step end offsets, accepted counts). Its
 `DecodeResult.steps` is a read-only sequence over that log that builds a
@@ -256,13 +263,10 @@ def verify_step(oracle, carried: int, drafted: list[int]) -> tuple[int, int, lis
     return accepted, preds[accepted], preds
 
 
-def _align_oracle(oracle, target_len: int) -> bool:
-    """Roll back tokens the verify call consumed beyond what was committed;
-    True when there were any."""
-    if oracle.consumed_len == target_len:
-        return False
+def _align_oracle(oracle, target_len: int) -> None:
+    """Roll back the tokens a rejecting verify consumed beyond what was
+    committed: the oracle keeps its first `target_len`."""
     oracle.truncate_cache(target_len)
-    return True
 
 
 def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
@@ -274,7 +278,9 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
     stops after the first token that does not pay (`NgramStore.draft`),
     validate [carried] + the paying tokens in one call, commit the accepted
     prefix, carry the oracle's next prediction. The accepted tokens and the
-    next carried token go into the store in one update.
+    next carried token go into the store in one update. A step after a
+    verify that rejected a token first truncates the oracle to the
+    committed prefix before the carried token.
 
     Each level starts at 1 hit of 1 reached. After a verify with `acc`
     accepted, the levels of the first `acc` tokens each count a hit and a
@@ -300,7 +306,7 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
     counts = hits, reached = [1] * (options.n_max + 1), [1] * (options.n_max + 1)
     committed = store.committed
     stop = len(prompt) + budget  # the length of `committed` once the budget is spent
-    rollbacks, eos_last = 0, False
+    rollbacks, eos_last, rejected = 0, False, False
     drafted_log: list[int] = []
     levels_log: list[int] = []
     ends: list[int] = []
@@ -313,15 +319,20 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
             accepted_log.append(0)
             eos_last = True
             break
-        k_use = min(k_draft, stop - len(committed))
+        k_use = stop - len(committed)
+        if k_use > k_draft:
+            k_use = k_draft
         tokens, levels, paid = build_draft(store, committed, k_use, fixed_level_only=fixed,
                                            counts=counts, cost_model=cm) if k_use > 0 else ([], [], 0)
         drafted = tokens[:paid]
-        rollbacks += _align_oracle(oracle, len(committed) - 1)
+        if rejected:
+            _align_oracle(oracle, len(committed) - 1)
+            rollbacks += 1
         try:
             accepted, next_carried, _ = verify_step(oracle, carried, drafted)
         except OracleError as exc:
             raise _wrap_oracle_error(exc, f"step {len(accepted_log)}") from exc
+        rejected = accepted < paid
         for level in levels[:accepted]:
             hits[level] += 1
             reached[level] += 1

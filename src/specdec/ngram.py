@@ -17,17 +17,24 @@ new count is >= the argmax's count.
 
 Every window the store has counted (the up to n_max-1 tokens before a
 committed token) has an int id. By id the store keeps the window's path, the
-rows of its suffixes longest first, and a transition map {token: id of the
-next window}, created when a transition to a window with an id is first
-followed. Ids, rows and transitions are never removed, so neither a path nor
-a cached transition goes stale. A full-width context has a row iff its
-window has an id. So `_commit` and `draft` step from window to window with
-one int-keyed lookup, and build and look up a context tuple only on a
-transition not cached yet; a new window creates its own row without looking
-for it, and a draft from a full-width context with no id starts its fallback
-one order down. The store keeps the id of the window that ends `committed`
-(or that window, if it was never counted), which `draft` starts from when
-its tail is `committed` itself. `snapshot` reads the rows as they stand.
+rows of its suffixes longest first, and, for a full-width window, its
+successor: (its own row's argmax, id of the window that token leads to), or
+None. Ids and rows are never removed, so a path never goes stale. A
+successor points only to a counted window: `_commit` or `draft` sets it when
+it first resolves the argmax into a counted window, and `_commit` clears it
+exactly when the window's own row changes argmax, which only that window's
+commits can do, as a full-width row is no other window's suffix.
+
+So `draft` walks successors with one list read per token at order n_max,
+and `_commit` follows a committed argmax with one; anything else (a window
+shorter than n_max-1 at the stream's start, a token that is not the argmax,
+a successor not set) builds the next context tuple and looks up its id. A
+full-width context has a row iff its window has an id, so a new window
+creates its own row without looking for it, and a draft from a full-width
+context with no id starts its fallback one order down. The store keeps the
+id of the window that ends `committed` (or that window, if it was never
+counted), which `draft` starts from when its tail is `committed` itself.
+`snapshot` reads the rows as they stand.
 """
 
 from __future__ import annotations
@@ -54,10 +61,10 @@ class NgramStore:
         # a row's None key holds its argmax; every other key is a next token
         self._rows: dict[tuple[int, ...], dict[int | None, int]] = {}
         # window -> its id; by id: the rows of its suffixes, longest first,
-        # and {token: id of the next window}, None until a transition is cached
+        # and (argmax, id of the next window) or None
         self._ids: dict[tuple[int, ...], int] = {}
         self._paths: list[tuple[dict[int | None, int], ...]] = []
-        self._next: list[dict[int, int] | None] = []
+        self._succ: list[tuple[int, int] | None] = []
         # the window that ends `committed`: its id, or the window itself if
         # it was never counted
         self._tail: int | tuple[int, ...] = ()
@@ -73,7 +80,7 @@ class NgramStore:
 
     def _commit(self, tokens) -> None:
         seq, rows, ids = self.committed, self._rows, self._ids
-        paths, nexts = self._paths, self._next
+        paths, succ = self._paths, self._succ
         width = self.n_max - 1
         cur = self._tail
         if cur.__class__ is tuple:
@@ -81,7 +88,9 @@ class NgramStore:
         for nxt in tokens:
             seq.append(nxt)
             if cur is not None:
-                for row in paths[cur]:
+                path = paths[cur]
+                own = path[0]
+                for row in path:
                     top = row[None]
                     if top == nxt:
                         row[nxt] += 1
@@ -89,24 +98,23 @@ class NgramStore:
                         count = row[nxt] = row.get(nxt, 0) + 1
                         if count >= row[top]:
                             row[None] = nxt
-                trans = nexts[cur]
-                if trans is not None:
-                    nid = trans.get(nxt)
-                    if nid is not None:
-                        cur = nid
-                        continue
+                            if row is own:
+                                succ[cur] = None
+                step = succ[cur]
+                if step is not None and step[0] == nxt:
+                    cur = step[1]
+                    continue
                 window = tuple(seq[-width:])
                 nid = ids.get(window)
-                if nid is not None:
-                    if trans is None:
-                        trans = nexts[cur] = {}
-                    trans[nxt] = nid
+                if nid is not None and own[None] == nxt and len(path) == width:
+                    succ[cur] = (nxt, nid)
                 cur = nid
                 continue
             # A new window is counted and its path collected in one pass; a
             # second pass over the path is slower on text that rarely repeats.
             # A full-width window has a row iff it has an id, so its own row
-            # is new, and a new window has no transition to look up.
+            # is new, with nxt its argmax: its successor is the next window,
+            # if that is counted.
             m = len(window)
             if m == width:
                 path = [{None: nxt, nxt: 1}]
@@ -130,9 +138,9 @@ class NgramStore:
                 path.append(row)
             ids[window] = len(paths)
             paths.append(tuple(path))
-            nexts.append(None)
             window = tuple(seq[-width:])
             cur = ids.get(window)
+            succ.append((nxt, cur) if m == width and cur is not None else None)
         self._tail = window if cur is None else cur
 
     def query_multilevel(
@@ -161,8 +169,11 @@ class NgramStore:
         verify cost of the batch without this token, a token pays iff cum·C >
         verify_per_token·E. Without counts, or with verify_per_token = 0,
         every token pays."""
-        rows, ids, paths, nexts = self._rows, self._ids, self._paths, self._next
-        width = self.n_max - 1
+        n_max = self.n_max
+        if min_level > n_max:  # no context is long enough
+            return [], [], 0
+        rows, ids, paths, succ = self._rows, self._ids, self._paths, self._succ
+        width = n_max - 1
         if tail is self.committed and self.runtime_update:
             cur = self._tail
             if cur.__class__ is tuple:
@@ -176,9 +187,22 @@ class NgramStore:
             hits, reached = counts
             vb = cost_model.verify_base
             expected = cum = 1.0
+            top_rate = hits[n_max] / reached[n_max]
         for j in range(k):
             # m = n-1 context tokens; a context's length names its order
             if cur is not None:
+                step = succ[cur]
+                if step is not None:
+                    # a full-width window's own argmax and the window it leads to
+                    tok, cur = step
+                    tokens.append(tok)
+                    levels.append(n_max)
+                    if vp:
+                        cum *= top_rate
+                        if cum * (vb + vp * (1 + j)) <= vp * expected:
+                            return tokens, levels, j
+                        expected += cum
+                    continue
                 # a counted window: its own row is the first of its path
                 path = paths[cur]
                 m = len(path)
@@ -204,18 +228,10 @@ class NgramStore:
                     return tokens, levels, j
                 expected += cum
             if cur is not None:
-                trans = nexts[cur]
-                if trans is not None:
-                    nid = trans.get(tok)
-                    if nid is not None:
-                        cur = nid
-                        continue
                 ctx = (*tail[-width:], *tokens)[-width:]
                 nid = ids.get(ctx)
-                if nid is not None:
-                    if trans is None:
-                        trans = nexts[cur] = {}
-                    trans[tok] = nid
+                if nid is not None and m == width:
+                    succ[cur] = (tok, nid)
                 cur = nid
             else:
                 ctx = (ctx + (tok,))[-width:]

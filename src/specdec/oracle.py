@@ -4,12 +4,16 @@ An oracle owns a cache of consumed tokens. `extend(tokens)` consumes the
 batch and returns one greedy prediction per consumed position; for the same
 total consumed prefix the predictions are identical no matter how the
 prefix was chunked into calls. `reset()` empties the cache, and
-`truncate_cache(length)` keeps only its first `length` tokens; the decoder
-rolls back rejected draft tokens with it. Both are part of the contract:
-in-process oracles truncate in O(1), `ExternalOracle` by sending the
-position with its next `extend`. Every oracle refuses a `length` that is
-not a plain int in [0, consumed_len] with `ValueError`, before any state
-changes.
+`truncate_cache(length)` keeps only its first `length` tokens. Both are
+part of the contract: in-process oracles truncate in O(1), `ExternalOracle`
+by sending the position with its next `extend`. Every oracle refuses a
+`length` that is not a plain int in [0, consumed_len] with `ValueError`,
+before any state changes.
+
+The decoder tracks the consumed length itself and calls `truncate_cache`
+only after a verify that rejected a drafted token, to drop the rejected
+tail; it never reads `consumed_len`, which stays in the contract for the
+server and the tests.
 """
 
 from __future__ import annotations

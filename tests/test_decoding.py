@@ -343,19 +343,30 @@ def test_trace_consistency_invariants(rng):
     assert res.totals.llm_calls == 1 + call_steps
 
 
-class _TruncateCounter:
-    """Counts the truncate_cache calls an oracle receives."""
+class _Spy:
+    """Logs every call an oracle receives; reading its `consumed_len` fails."""
 
     def __init__(self, inner) -> None:
         self._inner = inner
-        self.truncates = 0
+        self.eos = inner.eos
+        self.calls = []
+
+    @property
+    def consumed_len(self):
+        raise AssertionError("the decoder read consumed_len")
+
+    def reset(self):
+        self.calls.append(("reset",))
+        self._inner.reset()
+
+    def extend(self, tokens):
+        preds = self._inner.extend(tokens)
+        self.calls.append(("extend", list(tokens), list(preds)))
+        return preds
 
     def truncate_cache(self, length):
-        self.truncates += 1
+        self.calls.append(("truncate", length))
         self._inner.truncate_cache(length)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
 
 
 def test_rollbacks_count_the_non_final_verify_steps_that_rejected(rng):
@@ -366,14 +377,72 @@ def test_rollbacks_count_the_non_final_verify_steps_that_rejected(rng):
         opts = DecodeOptions(n_max=rng.randint(2, 5), k_draft=rng.randint(1, 7),
                              max_new_tokens=rng.randint(0, 80))
         eos = rng.choice([None, 5])  # a corpus token, so some decodes end at eos
-        oracle = _TruncateCounter(MarkovOracle(corpus, rng.randint(1, 3), rng.randrange(99), eos=eos))
+        oracle = _Spy(MarkovOracle(corpus, rng.randint(1, 3), rng.randrange(99), eos=eos))
         res = speculative_decode(oracle, prompt, opts)
         verifies = [s for s in res.steps if s.verify_batch_len]
         rejecting = sum(1 for s in verifies[:-1] if s.accepted_count < len(s.drafted))
-        assert res.totals.rollbacks == rejecting == oracle.truncates
+        truncates = sum(1 for call in oracle.calls if call[0] == "truncate")
+        assert res.totals.rollbacks == rejecting == truncates
         # whether the last verify step is followed by the call-less eos step
         seen.add((rejecting > 0, bool(verifies) and res.steps[-1].verify_batch_len == 0))
     assert seen == {(False, False), (True, False), (True, True), (False, True)}
+
+
+def test_decoder_truncates_only_right_after_a_rejecting_verify(rng):
+    """The decoder tracks what the oracle consumed itself: it never asks for
+    `consumed_len`, and truncates once per rollback, each time right after
+    a verify that rejected a drafted token, to the committed prefix before
+    the carried token."""
+    seen = set()
+    for i in range(120):
+        vocab = rng.randint(2, 6)
+        prompt = [rng.randrange(vocab) for _ in range(rng.randint(1, 12))]
+        budget = (0, 1, rng.randint(2, 80))[i % 3]
+        opts = DecodeOptions(n_max=rng.randint(2, 5), k_draft=rng.randint(1, 7),
+                             max_new_tokens=budget)
+        eos = rng.choice([None, 0])  # a vocabulary token, so some decodes end at eos
+        if i % 2:
+            corpus = [rng.randrange(vocab) for _ in range(150)]
+            order, seed = rng.randint(1, 3), rng.randrange(99)
+            # the prompt runs on with the oracle's own output, so drafts are accepted
+            prompt += greedy_markov_continuation(corpus, order, seed, prompt, 30)
+            inner = MarkovOracle(corpus, order, seed, eos=eos)
+        else:
+            # the prompt repeated with noise, so drafts are accepted, eos among them
+            script = [t if rng.random() < 0.8 else rng.randrange(vocab) for t in prompt * 10]
+            inner = ReplayOracle(prompt, script, eos=vocab if eos is None else eos)
+        spy = _Spy(inner)
+        res = speculative_decode(spy, prompt, opts)
+        calls = spy.calls
+        assert calls[:2] == [("reset",), ("extend", prompt, calls[1][2])]
+        verifies = [c for c in calls[2:] if c[0] == "extend"]
+        steps = [s for s in res.steps if s.verify_batch_len]
+        assert [c[1] for c in verifies] == [[s.committed[0], *s.drafted] for s in steps]
+        assert sum(1 for c in calls if c[0] == "truncate") == res.totals.rollbacks
+        # `done`: the committed prefix before the carried token after each
+        # verify, which is where a rollback must leave the oracle
+        consumed = done = len(prompt)
+        step = 0
+        for j, call in enumerate(calls[2:], 2):
+            if call[0] == "extend":
+                consumed += len(call[1])
+                done += len(steps[step].committed)
+                step += 1
+                continue
+            kind, batch, preds = calls[j - 1]
+            assert kind == "extend" and j - 1 > 1  # right after a verify, not the prefill
+            accepted = steps[step - 1].accepted_count
+            assert batch[1:accepted + 1] == preds[:accepted]
+            assert accepted < len(batch) - 1 and batch[accepted + 1] != preds[accepted]
+            assert call[1] == done == consumed - (len(batch) - 1 - accepted)
+            consumed = call[1]
+        last = res.steps[-1] if res.steps else None
+        seen.add((budget if budget < 2 else "more", i % 2,
+                  bool(last and last.verify_batch_len and last.committed[-1] == eos)))
+        seen.add(("rollbacks", res.totals.rollbacks > 0))
+    # every budget for both oracles, an eos-trimmed last step, and rollbacks
+    assert {(b, m, False) for b in (0, 1, "more") for m in (0, 1)} <= seen
+    assert {("more", 0, True), ("more", 1, True), ("rollbacks", True)} <= seen
 
 
 def test_call_count_never_exceeds_baseline(rng):

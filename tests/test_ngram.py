@@ -311,28 +311,55 @@ def test_store_matches_reference_differential(script):
     windows = {tuple(counted[max(0, i - n_max + 1) : i]) for i in range(len(counted))}
     assert set(store._ids) == windows
     assert sorted(store._ids.values()) == list(range(len(store._paths)))
-    assert len(store._next) == len(store._paths)
-    by_id = {i: window for window, i in store._ids.items()}
+    assert len(store._succ) == len(store._paths)
     for window, i in store._ids.items():
         path = store._paths[i]
         assert len(path) == len(window)
         assert all(row is store._rows[window[j:]] for j, row in enumerate(path))
-    # A cached transition (id, t) leads to the id of the window after t.
-    for i, trans in enumerate(store._next):
-        for t, j in (trans or {}).items():
-            assert by_id[j] == (by_id[i] + (t,))[-(n_max - 1) :]
+        if len(window) < n_max - 1:
+            assert store._succ[i] is None  # a stream-start window's row is shared
+    _assert_successors(store)
     if runtime_update:
         tail = tuple(committed[-(n_max - 1) :])
         assert store._tail == store._ids.get(tail, tail)
-    # Rows and transition maps hold only ints and None, so the collector never
-    # traverses them, and a collection untracks every int-tuple key. A path
+    # Rows hold only ints and None, so the collector never traverses them,
+    # and a collection untracks every int-tuple key and successor. A path
     # tuple holds dicts, so CPython keeps it tracked: one tracked object per
-    # counted window. A young collection is enough: any older key was
+    # counted window. A young collection is enough: any older tuple was
     # untracked when it was promoted.
     gc.collect(0)
     assert not any(gc.is_tracked(row) for row in store._rows.values())
-    assert not any(gc.is_tracked(trans) for trans in store._next if trans is not None)
+    assert not any(gc.is_tracked(step) for step in store._succ if step is not None)
     assert not any(gc.is_tracked(key) for key in (*store._rows, *store._ids))
+
+
+def _assert_successors(store):
+    """Every successor a store holds is its full-width window's own-row
+    argmax and the id of the window that token leads to."""
+    width = store.n_max - 1
+    by_id = {i: window for window, i in store._ids.items()}
+    for i, step in enumerate(store._succ):
+        if step is not None:
+            window = by_id[i]
+            assert len(window) == width
+            top = store._rows[window][None]
+            assert step == (top, store._ids[(window + (top,))[-width:]])
+
+
+def test_successor_is_cleared_when_its_argmax_flips():
+    s = NgramStore([1, 2, 1], 2)
+    one, two = s._ids[(1,)], s._ids[(2,)]
+    assert s._succ[one] is None  # (2) was not counted when (1) was
+    assert s._succ[two] == (1, one)  # (1) was
+    assert s.draft([1], 2) == ([2, 1], [2, 2], 2)  # resolves (1) -> 2
+    assert s._succ[one] == (2, two)
+    s.update(3)  # (1) -> 3 ties (1) -> 2 and, reinforced later, wins
+    assert s._rows[(1,)][None] == 3
+    assert s._succ[one] is None  # cleared, and (3) is not counted yet
+    s.update(1)
+    assert s.draft([1], 3) == ([3, 1, 3], [2, 2, 2], 3)
+    assert s._succ[one] == (3, s._ids[(3,)])
+    _assert_successors(s)
 
 
 # ------------------------------------ the cached walk against the plain walk
@@ -403,15 +430,24 @@ class _RefStore:
 def walk_scripts(draw):
     """A token stream cut into the initial tokens and update batches, with
     drafts from the committed tail interleaved. Streams either repeat a short
-    motif with rare noise, so most windows and transitions recur, or never
-    repeat a token, so every window is new."""
+    motif with rare noise, so most windows and transitions recur; or repeat
+    one context with competing continuations, so its rows' argmaxes flip
+    back and forth between drafts; or never repeat a token, so every window
+    is new."""
     n_max = draw(st.integers(2, 6))
-    size = draw(st.integers(0, 120))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["motif", "competing", "fresh"]))
+    if kind == "motif":
+        size = draw(st.integers(0, 120))
         motif = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
         noise = draw(st.lists(st.integers(0, 19), min_size=size, max_size=size))
         stream = [t if t >= 18 else motif[i % len(motif)] for i, t in enumerate(noise)]
+    elif kind == "competing":
+        context = draw(st.lists(st.integers(0, 2), min_size=1, max_size=5))
+        picks = draw(st.lists(st.integers(3, 5), max_size=30))
+        stream = [t for pick in picks for t in (*context, pick)]
+        size = len(stream)
     else:
+        size = draw(st.integers(0, 120))
         stream = list(range(100, 100 + size))
     cut = draw(st.integers(0, size))
     batches, rest = [], stream[cut:]
@@ -434,7 +470,7 @@ def walk_scripts(draw):
 
 
 @given(walk_scripts())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_cached_walk_matches_plain_walk(script):
     n_max, runtime_update, init, ops = script
     store = NgramStore(init, n_max, runtime_update=runtime_update)
@@ -457,4 +493,6 @@ def test_cached_walk_matches_plain_walk(script):
         assert store.committed == ref.committed
         assert store._rows == ref._rows  # argmax keys included
         assert store.snapshot() == NgramStore.snapshot(ref)
-
+        _assert_successors(store)
+        assert store.draft(store.committed, 8) == ref.draft(ref.committed, 8)
+        _assert_successors(store)

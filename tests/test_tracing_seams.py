@@ -1,7 +1,9 @@
 """The traced benchmark run (`perfbench/run.py --trace 1`) records spans by
 wrapping specdec's entry points by name from outside the package. These
 tests fail when a change renames, removes or inlines one of them, which
-would otherwise break the traced run or leave its layers reading 0."""
+would otherwise break the traced run or leave its layers reading 0.
+`_align_oracle` runs only on rollback steps, the steps after a verify that
+rejected a drafted token, so the decode below must reject one."""
 
 from pathlib import Path
 
