@@ -1,4 +1,9 @@
-"""Command-line entry point: run, sweep, stats, serve-oracle."""
+"""Command-line entry point: run, sweep, stats, serve-oracle.
+
+Every command reads one JSON run config (`--config`), loaded and checked by
+`load_config`: `run` and `sweep` decode with it, `stats` counts its corpus
+in its tokenizer, and `serve-oracle` serves the oracle it describes.
+"""
 
 from __future__ import annotations
 
@@ -23,7 +28,8 @@ from .decoding import (
 )
 from .metrics import LosslessnessError, compute_metrics, sweep, write_sweep_csv, _decode_fresh
 from .oracle import (
-    DEFAULT_COST_MODEL, CostModel, ExternalOracle, MarkovOracle, OracleError, ReplayOracle, _is_finite_number,
+    DEFAULT_COST_MODEL, CostModel, ExternalOracle, MarkovOracle, OracleError, ReplayOracle,
+    _is_finite_number, _split_endpoint,
 )
 from .server import OracleServer
 from .tokenizer import (
@@ -53,17 +59,16 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
+    """A loaded run config; each field holds the config key it is named after.
+    `tokenizer` and `oracle` are their checked sections (see _DEFAULTS)."""
+
     seed: int
-    corpus_ref: str
+    corpus: str
     prompt_tokens: int
-    tokenizer_mode: str
-    vocab_path: str | None
-    bpe_train_size: int
-    oracle_kind: str
-    markov_order: int
-    endpoint: str | None
+    tokenizer: dict
+    oracle: dict
     decode: DecodeOptions
-    cost: CostModel
+    cost_model: CostModel
     trace_path: str | None
     report_path: str | None
 
@@ -137,76 +142,64 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     except ValueError as exc:
         raise ConfigError(f"decode.{exc}") from None
     try:
-        cost = CostModel(**values["cost_model"])
+        cost_model = CostModel(**values["cost_model"])
     except ValueError as exc:
         raise ConfigError(f"cost_model.{exc}") from None
+    cfg = RunConfig(**{**values, "decode": decode, "cost_model": cost_model})
 
-    tok, oracle = values["tokenizer"], values["oracle"]
-    cfg = RunConfig(
-        seed=values["seed"],
-        corpus_ref=values["corpus"],
-        prompt_tokens=values["prompt_tokens"],
-        tokenizer_mode=tok["mode"],
-        vocab_path=tok["vocab_path"],
-        bpe_train_size=tok["train_size"],
-        oracle_kind=oracle["kind"],
-        markov_order=oracle["order"],
-        endpoint=oracle["endpoint"],
-        decode=decode,
-        cost=cost,
-        trace_path=values["trace_path"],
-        report_path=values["report_path"],
-    )
-    if not cfg.corpus_ref:
+    tok, oracle = cfg.tokenizer, cfg.oracle
+    if not cfg.corpus:
         raise ConfigError(f"config {path} is missing 'corpus'")
     for name, value, allowed in (
-        ("tokenizer.mode", cfg.tokenizer_mode, MODES),
-        ("oracle.kind", cfg.oracle_kind, ("replay", "markov", "external")),
+        ("tokenizer.mode", tok["mode"], MODES),
+        ("oracle.kind", oracle["kind"], ("replay", "markov", "external")),
     ):
         if value not in allowed:
             raise ConfigError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
-    if cfg.oracle_kind == "external" and not cfg.endpoint:
+    if oracle["kind"] == "external" and not oracle["endpoint"]:
         raise ConfigError("oracle.endpoint is required when oracle.kind is 'external'")
     if cfg.prompt_tokens < 1:
         raise ConfigError(f"prompt_tokens must be >= 1, got {cfg.prompt_tokens}")
-    if not cfg.corpus_ref.startswith("bundled:") and not Path(cfg.corpus_ref).exists():
-        raise ConfigError(f"corpus file not found: {cfg.corpus_ref}")
-    if cfg.vocab_path is not None and not Path(cfg.vocab_path).is_file():
-        raise ConfigError(f"tokenizer.vocab_path file not found: {cfg.vocab_path}")
+    if not cfg.corpus.startswith("bundled:") and not Path(cfg.corpus).exists():
+        raise ConfigError(f"corpus file not found: {cfg.corpus}")
+    if tok["vocab_path"] is not None and not Path(tok["vocab_path"]).is_file():
+        raise ConfigError(f"tokenizer.vocab_path file not found: {tok['vocab_path']}")
     return cfg
 
 
-def _build_vocab(mode: str, vocab_path: str | None, train_size: int, corpus: bytes):
-    if vocab_path is not None:
-        return load_vocab(vocab_path)
-    if mode == "byte":
+def _build_vocab(tokenizer: dict, corpus: bytes):
+    """The vocab a config's `tokenizer` section describes, built on `corpus`."""
+    if tokenizer["vocab_path"] is not None:
+        return load_vocab(tokenizer["vocab_path"])
+    if tokenizer["mode"] == "byte":
         return byte_vocab()
-    if mode == "whitespace":
+    if tokenizer["mode"] == "whitespace":
         return word_vocab(corpus)
-    return train_bpe(corpus, train_size)  # load_config and the parser allow no other mode
+    return train_bpe(corpus, tokenizer["train_size"])  # load_config allows no other mode
 
 
 def _build_run(cfg: RunConfig) -> tuple[list[int], Callable[[], object], dict, object]:
     """The prompt, an oracle factory, its JSON description for traces, and the vocab."""
-    corpus = resolve_corpus_ref(cfg.corpus_ref)
-    vocab = _build_vocab(cfg.tokenizer_mode, cfg.vocab_path, cfg.bpe_train_size, corpus)
-    ids = encode(corpus, vocab, cfg.tokenizer_mode)
+    corpus = resolve_corpus_ref(cfg.corpus)
+    mode, oracle = cfg.tokenizer["mode"], cfg.oracle
+    vocab = _build_vocab(cfg.tokenizer, corpus)
+    ids = encode(corpus, vocab, mode)
     if len(ids) <= cfg.prompt_tokens:
         raise ConfigError(
             f"corpus has only {len(ids)} tokens; prompt_tokens={cfg.prompt_tokens} leaves no target"
         )
     prompt, target = ids[: cfg.prompt_tokens], ids[cfg.prompt_tokens :]
-    source = {"corpus": cfg.corpus_ref, "mode": cfg.tokenizer_mode, "prompt_tokens": cfg.prompt_tokens}
-    oracle_json: dict = {"kind": cfg.oracle_kind, "eos": None, "source": source}
-    if cfg.oracle_kind == "replay":
+    source = {"corpus": cfg.corpus, "mode": mode, "prompt_tokens": cfg.prompt_tokens}
+    oracle_json: dict = {"kind": oracle["kind"], "eos": None, "source": source}
+    if oracle["kind"] == "replay":
         oracle_json.update(eos=vocab.eos, prompt_len=len(prompt), target_len=len(target))
         new_oracle = lambda: ReplayOracle(prompt, target, vocab.eos)
-    elif cfg.oracle_kind == "markov":
-        oracle_json.update(order=cfg.markov_order, seed=cfg.seed)
-        new_oracle = lambda: MarkovOracle(ids, cfg.markov_order, cfg.seed)
+    elif oracle["kind"] == "markov":
+        oracle_json.update(order=oracle["order"], seed=cfg.seed)
+        new_oracle = lambda: MarkovOracle(ids, oracle["order"], cfg.seed)
     else:  # load_config allows no other kind, and an external one only with an endpoint
-        oracle_json.update(endpoint=cfg.endpoint)
-        new_oracle = lambda: ExternalOracle(cfg.endpoint)
+        oracle_json.update(endpoint=oracle["endpoint"])
+        new_oracle = lambda: ExternalOracle(oracle["endpoint"])
     return prompt, new_oracle, oracle_json, vocab
 
 
@@ -214,58 +207,55 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = load_config(args.config, args)
         prompt, new_oracle, oracle_json, vocab = _build_run(cfg)
-        base = _decode_fresh(baseline_decode, new_oracle, prompt, cfg.decode, cfg.cost)
-        accel = _decode_fresh(speculative_decode, new_oracle, prompt, cfg.decode, cfg.cost)
-    except (ConfigError, OracleError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        metrics = compute_metrics(accel, base, cfg.cost)
+        base = _decode_fresh(baseline_decode, new_oracle, prompt, cfg.decode, cfg.cost_model)
+        accel = _decode_fresh(speculative_decode, new_oracle, prompt, cfg.decode, cfg.cost_model)
+        metrics = compute_metrics(accel, base, cfg.cost_model)
+        if cfg.trace_path:
+            write_trace(cfg.trace_path, accel, oracle_json, cfg.cost_model)
+        if cfg.report_path:
+            text = detokenize(accel.output, vocab).decode("utf-8", errors="replace")
+            _atomic_write(cfg.report_path, "\n".join([
+                "decode report",
+                "=============",
+                f"n_max={cfg.decode.n_max} k_draft={cfg.decode.k_draft} "
+                f"max_new_tokens={cfg.decode.max_new_tokens}",
+                f"runtime_update={cfg.decode.runtime_update} "
+                f"fixed_level_only={cfg.decode.fixed_level_only}",
+                f"oracle={cfg.oracle['kind']} prompt_tokens={len(prompt)}",
+                "",
+                f"output tokens: {len(accel.output)}",
+                f"steps: {metrics.steps}",
+                f"alpha (draft hit ratio): {metrics.alpha:.4f}",
+                f"mean committed per step: {metrics.mean_committed_per_step:.4f}",
+                f"speedup_sim: {metrics.speedup_sim:.4f}",
+                f"bound (alpha*K+1): {metrics.theoretical_bound:.4f}",
+                "",
+                "output text",
+                "-----------",
+                text,
+                "",
+            ]))
     except LosslessnessError as exc:
         print(f"losslessness violation: {exc}", file=sys.stderr)
         return EXIT_LOSSLESSNESS
+    except (ConfigError, OracleError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
-    if cfg.trace_path:
-        write_trace(cfg.trace_path, accel, oracle_json, cfg.cost)
-    text = detokenize(accel.output, vocab).decode("utf-8", errors="replace")
-    summary = {
-        "config": str(args.config),
-        "n": cfg.decode.n_max,
-        "k": cfg.decode.k_draft,
-        "max_new_tokens": cfg.decode.max_new_tokens,
-        "runtime_update": cfg.decode.runtime_update,
-        "fixed_level_only": cfg.decode.fixed_level_only,
-        "output_len": len(accel.output),
-        "llm_calls": accel.totals.llm_calls,
-        "rollbacks": accel.totals.rollbacks,
-        "baseline_llm_calls": base.totals.llm_calls,
-        "metrics": metrics.to_json(),
-    }
-    if cfg.report_path:
-        lines = [
-            "decode report",
-            "=============",
-            f"n_max={cfg.decode.n_max} k_draft={cfg.decode.k_draft} "
-            f"max_new_tokens={cfg.decode.max_new_tokens}",
-            f"runtime_update={cfg.decode.runtime_update} "
-            f"fixed_level_only={cfg.decode.fixed_level_only}",
-            f"oracle={cfg.oracle_kind} prompt_tokens={len(prompt)}",
-            "",
-            f"output tokens: {len(accel.output)}",
-            f"steps: {metrics.steps}",
-            f"alpha (draft hit ratio): {metrics.alpha:.4f}",
-            f"mean committed per step: {metrics.mean_committed_per_step:.4f}",
-            f"speedup_sim: {metrics.speedup_sim:.4f}",
-            f"bound (alpha*K+1): {metrics.theoretical_bound:.4f}",
-            "",
-            "output text",
-            "-----------",
-            text,
-            "",
-        ]
-        _atomic_write(cfg.report_path, "\n".join(lines))
     if args.json:
-        print(json.dumps(summary, sort_keys=True))
+        print(json.dumps({
+            "config": str(args.config),
+            "n": cfg.decode.n_max,
+            "k": cfg.decode.k_draft,
+            "max_new_tokens": cfg.decode.max_new_tokens,
+            "runtime_update": cfg.decode.runtime_update,
+            "fixed_level_only": cfg.decode.fixed_level_only,
+            "output_len": len(accel.output),
+            "llm_calls": accel.totals.llm_calls,
+            "rollbacks": accel.totals.rollbacks,
+            "baseline_llm_calls": base.totals.llm_calls,
+            "metrics": metrics.to_json(),
+        }, sort_keys=True))
     else:
         print(
             f"generated {len(accel.output)} tokens in {metrics.steps} steps | "
@@ -276,9 +266,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _parse_grid(text: str, key: str, cap: int | None = None) -> list[int]:
-    """Comma-separated values and lo-hi ranges. A range whose hi is above
-    `cap`, or that would take the grid past MAX_GRID_VALUES values, is
-    refused before it is expanded."""
+    """Comma-separated values and lo-hi ranges. A range whose lo is above its
+    hi, whose hi is above `cap`, or that would take the grid past
+    MAX_GRID_VALUES values, is refused before it is expanded."""
     values: list[int] = []
     for part in text.split(","):
         part = part.strip()
@@ -286,6 +276,8 @@ def _parse_grid(text: str, key: str, cap: int | None = None) -> list[int]:
             continue
         if "-" in part[1:]:
             lo, hi = map(int, part.split("-", 1))
+            if lo > hi:
+                raise ValueError(f"{key} range {part} is empty: its lo is above its hi")
             if cap is not None and hi > cap:
                 raise ValueError(f"{key} must be <= {cap}, got {part}")
             if len(values) + hi - lo + 1 > MAX_GRID_VALUES:
@@ -304,7 +296,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError("empty sweep grid")
         cfg = load_config(args.config, args)
         prompt, new_oracle, oracle_json, _ = _build_run(cfg)
-        table = sweep(new_oracle, [prompt], n_grid, k_grid, cfg.decode, cfg.cost)
+        table = sweep(new_oracle, [prompt], n_grid, k_grid, cfg.decode, cfg.cost_model)
         table.config.update(oracle=oracle_json, seed=cfg.seed)
         out_csv = Path(args.out)
         sidecar = out_csv.with_suffix(out_csv.suffix + ".config.json")
@@ -325,25 +317,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    """Word and token counts of the config's corpus in its tokenizer: one row
+    per file of a directory corpus, then one for the whole corpus."""
     try:
-        root = Path(args.corpus)
-        if args.corpus.startswith("bundled:"):
-            files = [args.corpus]
-        elif root.is_dir():
-            files = [str(f) for f in sorted(root.iterdir()) if f.is_file()]
-        elif root.is_file():
-            files = [str(root)]
+        cfg = load_config(args.config)
+        root = Path(cfg.corpus)
+        if cfg.corpus.startswith("bundled:") or not root.is_dir():
+            files = [cfg.corpus]
         else:
-            print(f"error: corpus not found: {args.corpus}", file=sys.stderr)
-            return EXIT_ERROR
+            files = [str(f) for f in sorted(root.iterdir()) if f.is_file()]
         texts = [resolve_corpus_ref(f) for f in files]
         whole = b"".join(texts)
-        vocab = _build_vocab(args.mode, args.vocab, args.train_size, whole)
+        vocab = _build_vocab(cfg.tokenizer, whole)
         rows = []
         for f, text in [*zip(files, texts), ("<aggregate>", whole)]:
-            st = corpus_stats(text, vocab, args.mode)
+            st = corpus_stats(text, vocab, cfg.tokenizer["mode"])
             rows.append({"file": f, "words": st.word_count, "tokens": st.token_count, "ratio": st.ratio})
-    except (OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if args.json:
@@ -355,26 +345,20 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_serve_oracle(args: argparse.Namespace) -> int:
+    """Serve the oracle that `run --config` would decode against."""
     try:
-        host, _, port = args.listen.rpartition(":")
-        if not host or not port.isdigit() or int(port) > 65535:
-            raise ValueError(f"bad --listen {args.listen!r}; expected HOST:PORT")
-        if args.prompt_tokens < 0:
-            raise ValueError(f"--prompt-tokens must be >= 0, got {args.prompt_tokens}")
-        corpus = resolve_corpus_ref(args.corpus)
-        vocab = byte_vocab()
-        ids = encode(corpus, vocab, "byte")
-        if args.kind == "markov":
-            new_oracle = lambda: MarkovOracle(ids, args.order, args.seed)
-        else:  # the parser allows only markov and replay
-            prompt, target = ids[: args.prompt_tokens], ids[args.prompt_tokens :]
-            new_oracle = lambda: ReplayOracle(prompt, target, vocab.eos)
+        host, port = _split_endpoint(args.listen, "--listen")
+        cfg = load_config(args.config)
+        kind = cfg.oracle["kind"]
+        if kind == "external":
+            raise ConfigError("oracle.kind must be replay or markov to serve, got 'external'")
+        new_oracle = _build_run(cfg)[1]
         new_oracle()  # a factory that cannot build fails here, not on every connection
-        server = OracleServer(new_oracle, host=host, port=int(port))
-    except (OSError, ValueError) as exc:
+        server = OracleServer(new_oracle, host=host, port=port)
+    except (ConfigError, OracleError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    print(f"serving {args.kind} oracle on {server.address}")
+    print(f"serving {kind} oracle on {server.address}")
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -390,10 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="JSON run config")
+
     # flags that run and sweep share; a dest named after a config key
     # ("section.key" when nested) overrides it when given (see load_config)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="JSON run config")
+    common = argparse.ArgumentParser(add_help=False, parents=[config])
     common.add_argument("--seed", type=int)
     common.add_argument("--max-new-tokens", type=int, dest="decode.max_new_tokens")
     common.add_argument(
@@ -419,21 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out", required=True, help="CSV output path")
     sw.set_defaults(func=cmd_sweep)
 
-    st = sub.add_parser("stats", help="word/token counts for a corpus")
-    st.add_argument("--corpus", required=True, help="file, directory, or bundled:NAME")
-    st.add_argument("--mode", default="byte", choices=["byte", "whitespace", "bpe"])
-    st.add_argument("--vocab", help="vocab JSON (otherwise built from the corpus)")
-    st.add_argument("--train-size", type=int, default=512, dest="train_size")
-    st.add_argument("--json", action="store_true")
+    st = sub.add_parser("stats", parents=[config], help="word/token counts of the config's corpus")
+    st.add_argument("--json", action="store_true", help="machine-parseable stdout")
     st.set_defaults(func=cmd_stats)
 
-    srv = sub.add_parser("serve-oracle", help="serve an oracle over TCP")
-    srv.add_argument("--kind", default="markov", choices=["markov", "replay"])
-    srv.add_argument("--corpus", required=True)
-    srv.add_argument("--order", type=int, default=2)
-    srv.add_argument("--seed", type=int, default=0)
-    srv.add_argument("--prompt-tokens", type=int, default=64, dest="prompt_tokens")
-    srv.add_argument("--listen", default="127.0.0.1:7711")
+    srv = sub.add_parser("serve-oracle", parents=[config], help="serve the config's oracle over TCP")
+    srv.add_argument("--listen", default="127.0.0.1:7711", help="HOST:PORT")
     srv.set_defaults(func=cmd_serve_oracle)
     return parser
 

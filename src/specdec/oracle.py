@@ -229,6 +229,16 @@ class MarkovOracle:
         del self._consumed[length:]
 
 
+def _split_endpoint(endpoint: str, name: str = "endpoint") -> tuple[str, int]:
+    """The host and port of a "HOST:PORT" string. A port must be ASCII
+    digits naming 0..65535; anything else is refused with
+    `OracleConnectError`, which calls the string `name`."""
+    host, _, port = endpoint.rpartition(":")
+    if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise OracleConnectError(f"bad {name} {endpoint!r}; expected HOST:PORT with a port of 0..65535")
+    return host, int(port)
+
+
 class ExternalOracle:
     """Client for the newline-delimited JSON oracle protocol.
 
@@ -250,11 +260,9 @@ class ExternalOracle:
     """
 
     def __init__(self, endpoint: str, *, timeout: float = 10.0) -> None:
-        host, _, port = endpoint.rpartition(":")
-        if not host or not port.isdigit():
-            raise OracleConnectError(f"bad endpoint {endpoint!r}; expected HOST:PORT")
+        host, port = _split_endpoint(endpoint)
         try:
-            self._sock = socket.create_connection((host, int(port)), timeout=timeout)
+            self._sock = socket.create_connection((host, port), timeout=timeout)
         except OSError as exc:
             raise OracleConnectError(f"cannot connect to {endpoint}: {exc}") from exc
         self.endpoint = endpoint

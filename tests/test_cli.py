@@ -1,14 +1,18 @@
 import base64
 import json
+import queue
+import shlex
 import threading
+from contextlib import contextmanager
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdec.bundled import bundled_bytes, bundled_path
-from specdec.cli import _DEFAULTS, ConfigError, load_config, main
+from specdec.cli import _DEFAULTS, ConfigError, build_parser, load_config, main
 from specdec.decoding import DecodeOptions, DecodeResult, DecodeTotals
 from specdec.oracle import DEFAULT_COST_MODEL, CostModel, ExternalOracle, MarkovOracle
 from specdec.server import OracleServer
@@ -21,6 +25,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_config(path, config):
+    path.write_text(json.dumps(config))
+    return str(path)
 
 
 def test_version(capsys):
@@ -187,7 +196,7 @@ def test_corpus_only_config_loads_the_library_defaults(tmp_path):
     cfg.write_text(json.dumps({"corpus": "bundled:repetitive.txt"}))
     loaded = load_config(str(cfg))
     assert loaded.decode == DecodeOptions()
-    assert loaded.cost == DEFAULT_COST_MODEL
+    assert loaded.cost_model == DEFAULT_COST_MODEL
 
 
 def _changed(value):
@@ -197,14 +206,12 @@ def _changed(value):
     return value + "x" if type(value) is str else value + 1
 
 
-@pytest.mark.parametrize("section, cls, attr", [
-    ("decode", DecodeOptions, "decode"), ("cost_model", CostModel, "cost"),
-])
-def test_config_sections_take_every_field_of_their_dataclass(tmp_path, section, cls, attr):
+@pytest.mark.parametrize("section, cls", [("decode", DecodeOptions), ("cost_model", CostModel)])
+def test_config_sections_take_every_field_of_their_dataclass(tmp_path, section, cls):
     changed = {f.name: _changed(getattr(cls(), f.name)) for f in fields(cls)}
     cfg = tmp_path / "fields.json"
     cfg.write_text(json.dumps({"corpus": "bundled:repetitive.txt", section: changed}))
-    assert getattr(load_config(str(cfg)), attr) == cls(**changed)
+    assert getattr(load_config(str(cfg)), section) == cls(**changed)
     # and no other key: one the dataclass lacks is refused with it named
     cfg.write_text(json.dumps({"corpus": "bundled:repetitive.txt", section: {**changed, "extra": 1}}))
     with pytest.raises(ConfigError, match=f"unknown config key {section}.extra$"):
@@ -216,19 +223,16 @@ SETTINGS = [
     (section, key) for section, table in _DEFAULTS.items() if type(table) is dict for key in table
 ] + [("", key) for key, default in _DEFAULTS.items() if type(default) is not dict]
 
-# RunConfig attributes of the settings that no settings dataclass holds
-RUN_CONFIG_ATTR = {
-    "corpus": "corpus_ref", "mode": "tokenizer_mode", "train_size": "bpe_train_size",
-    "kind": "oracle_kind", "order": "markov_order",
-}
-
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
 
 
 def _loaded(cfg, section, key):
-    if section in ("decode", "cost_model"):
-        return getattr(cfg.decode if section == "decode" else cfg.cost, key)
-    return getattr(cfg, RUN_CONFIG_ATTR.get(key, key))
+    """A setting's loaded value: RunConfig names each field after its key, and
+    holds a section as a dict or a settings dataclass."""
+    if not section:
+        return getattr(cfg, key)
+    held = getattr(cfg, section)
+    return held[key] if type(held) is dict else getattr(held, key)
 
 
 @pytest.mark.parametrize("section, key", SETTINGS)
@@ -428,6 +432,31 @@ def test_parse_grid_counts_values_before_expanding(grid, ok):
             _parse_grid(grid, "k_draft")
 
 
+@pytest.mark.parametrize("grids, refused", [
+    (("--n-grid", "6-2,3", "--k-grid", "1"), "n_max range 6-2"),
+    (("--n-grid", "2", "--k-grid", "1,8-3"), "k_draft range 8-3"),
+])
+def test_sweep_reversed_range_exits_1(tmp_path, capsys, grids, refused):
+    code, out, err = run_cli(capsys, "sweep", "--config", DEMO, *grids, "--out", str(tmp_path / "x.csv"))
+    assert (code, out) == (1, "")
+    assert err == f"error: {refused} is empty: its lo is above its hi\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--trace"), ("run", "--report"), ("sweep", "--n-grid", "2", "--k-grid", "1", "--out"),
+])
+def test_unwritable_output_path_exits_1_naming_it(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(
+        capsys, argv[0], "--config", DEMO, "--max-new-tokens", "16", *argv[1:], str(target)
+    )
+    assert (code, out) == (1, "")
+    # the path given, not the temp file the write goes through
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("section, message", [
     ({"oracle": {"kind": "bogus"}}, "oracle.kind must be one of replay, markov, external, got 'bogus'"),
     ({"tokenizer": {"mode": "wordpiece"}}, "tokenizer.mode must be one of byte, whitespace, bpe, got 'wordpiece'"),
@@ -471,8 +500,8 @@ def test_malformed_vocab_file_exits_1(tmp_path, capsys, payload):
     vocab.write_text(json.dumps(payload))
     cfg = tmp_path / "vocab_run.json"
     cfg.write_text(json.dumps({"corpus": "bundled:repetitive.txt", "tokenizer": {"vocab_path": str(vocab)}}))
-    for argv in (("run", "--config", str(cfg)), ("stats", "--corpus", "bundled:repetitive.txt", "--vocab", str(vocab))):
-        code, out, err = run_cli(capsys, *argv)
+    for command in ("run", "stats"):
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
         assert (code, out) == (1, "")
         assert err.startswith(f"error: vocab {vocab}: ") and "Traceback" not in err
 
@@ -532,8 +561,9 @@ def test_sweep_sidecar_describes_the_oracle(tmp_path, capsys):
     })
 
 
-def test_stats_bundled_byte_mode(capsys):
-    code, out, _ = run_cli(capsys, "stats", "--corpus", "bundled:repetitive.txt", "--json")
+def test_stats_bundled_byte_mode(tmp_path, capsys):
+    cfg = write_config(tmp_path / "stats.json", {"corpus": "bundled:repetitive.txt"})
+    code, out, _ = run_cli(capsys, "stats", "--config", cfg, "--json")
     assert code == 0
     rows = json.loads(out)
     agg = rows[-1]
@@ -544,115 +574,178 @@ def test_stats_bundled_byte_mode(capsys):
 def test_stats_bpe_mode(tmp_path, capsys):
     f = tmp_path / "c.txt"
     f.write_text("repeat repeat repeat tokens tokens tokens " * 10)
-    code, out, _ = run_cli(
-        capsys, "stats", "--corpus", str(f), "--mode", "bpe", "--train-size", "300", "--json"
+    cfg = write_config(
+        tmp_path / "stats.json", {"corpus": str(f), "tokenizer": {"mode": "bpe", "train_size": 300}}
     )
+    code, out, _ = run_cli(capsys, "stats", "--config", cfg, "--json")
     assert code == 0
     rows = json.loads(out)
     assert all(r["ratio"] >= 1.0 for r in rows)
 
 
+def test_stats_directory_corpus_has_a_row_per_file(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "b.txt").write_text("two words")
+    (corpus / "a.txt").write_text("one two three")
+    cfg = write_config(tmp_path / "stats.json", {"corpus": str(corpus), "tokenizer": {"mode": "whitespace"}})
+    code, out, _ = run_cli(capsys, "stats", "--config", cfg, "--json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [(r["file"], r["words"]) for r in rows] == [
+        (str(corpus / "a.txt"), 3), (str(corpus / "b.txt"), 2), ("<aggregate>", 4),
+    ]
+
+
 def test_stats_empty_file(tmp_path, capsys):
     f = tmp_path / "empty.txt"
     f.write_bytes(b"")
-    code, out, _ = run_cli(capsys, "stats", "--corpus", str(f), "--json")
+    cfg = write_config(tmp_path / "stats.json", {"corpus": str(f)})
+    code, out, _ = run_cli(capsys, "stats", "--config", cfg, "--json")
     assert code == 0
     rows = json.loads(out)
     assert rows[0]["words"] == 0 and rows[0]["tokens"] == 0 and rows[0]["ratio"] == 1.0
 
 
-def test_stats_missing_corpus_exits_1(capsys):
-    code, _, err = run_cli(capsys, "stats", "--corpus", "/no/such/corpus")
-    assert code == 1
+def test_stats_missing_corpus_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path / "stats.json", {"corpus": "/no/such/corpus"})
+    code, out, err = run_cli(capsys, "stats", "--config", cfg)
+    assert (code, out, err) == (1, "", "error: corpus file not found: /no/such/corpus\n")
 
 
-def test_serve_oracle_end_to_end(tmp_path, capsys):
-    # drive cmd_serve_oracle through its real argv path in a thread
-    import specdec.cli as cli_mod
-    from specdec.server import OracleServer
+@contextmanager
+def serving(monkeypatch, capsys, config):
+    """Run `serve-oracle --config config` in a thread; yield its address."""
+    started = queue.Queue()
+    serve = OracleServer.serve_forever
 
-    corpus_file = tmp_path / "corpus.txt"
-    corpus_file.write_text("abcabcabcabc" * 10)
+    def announce_and_serve(server):
+        started.put(server)
+        serve(server)
 
-    captured: dict = {}
-    orig_serve = OracleServer.serve_forever
-
-    def capture_and_serve(self):
-        captured["server"] = self
-        orig_serve(self)
-
-    OracleServer.serve_forever = capture_and_serve
+    monkeypatch.setattr(OracleServer, "serve_forever", announce_and_serve)
+    argv = ["serve-oracle", "--config", config, "--listen", "127.0.0.1:0"]
+    thread = threading.Thread(target=main, args=(argv,), daemon=True)
+    thread.start()
+    server = started.get(timeout=30)
+    kind = json.loads(Path(config).read_text())["oracle"]["kind"]
+    assert capsys.readouterr().out == f"serving {kind} oracle on {server.address}\n"
     try:
-        t = threading.Thread(
-            target=main,
-            args=(
-                [
-                    "serve-oracle", "--kind", "markov", "--corpus", str(corpus_file),
-                    "--order", "2", "--seed", "3", "--listen", "127.0.0.1:0",
-                ],
-            ),
-            daemon=True,
-        )
-        t.start()
-        for _ in range(100):
-            if "server" in captured:
-                break
-            import time
+        yield server.address
+    finally:
+        server.shutdown()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
-            time.sleep(0.02)
-        server = captured["server"]
-        remote = ExternalOracle(server.address)
-        local = MarkovOracle([ord(c) for c in "abcabcabcabc" * 10], order=2, seed=3)
+
+def test_serve_oracle_end_to_end(tmp_path, capsys, monkeypatch):
+    text = "abcabcabcabc" * 10
+    corpus_file = tmp_path / "corpus.txt"
+    corpus_file.write_text(text)
+    cfg = write_config(
+        tmp_path / "served.json", {"corpus": str(corpus_file), "seed": 3, "oracle": {"kind": "markov"}}
+    )
+    with serving(monkeypatch, capsys, cfg) as address:
+        remote = ExternalOracle(address)
+        local = MarkovOracle([ord(c) for c in text], order=2, seed=3)
         assert remote.extend([97, 98, 99]) == local.extend([97, 98, 99])
         remote.close()
-        server.shutdown()
-    finally:
-        OracleServer.serve_forever = orig_serve
+
+
+@pytest.mark.parametrize("kind", ["replay", "markov"])
+@pytest.mark.parametrize("mode", ["byte", "whitespace", "bpe"])
+def test_run_against_the_served_config_matches_the_in_process_run(tmp_path, capsys, monkeypatch, mode, kind):
+    # serve-oracle builds its oracle from the same config as run, vocab included
+    config = {
+        "corpus": "bundled:patterned_code.txt", "prompt_tokens": 200, "seed": 5,
+        "tokenizer": {"mode": mode}, "oracle": {"kind": kind}, "decode": {"max_new_tokens": 150},
+    }
+    outputs = []
+    with serving(monkeypatch, capsys, write_config(tmp_path / "served.json", config)) as address:
+        for name, oracle in (("local", config["oracle"]), ("remote", {"kind": "external", "endpoint": address})):
+            cfg = write_config(tmp_path / f"{name}.json", {**config, "oracle": oracle})
+            trace = tmp_path / f"{name}.jsonl"
+            code, out, err = run_cli(capsys, "run", "--config", cfg, "--trace", str(trace), "--json")
+            assert (code, err) == (0, "")
+            summary = json.loads(out)
+            del summary["config"]
+            # the header describes the oracle, so only the steps must match
+            outputs.append((summary, trace.read_text().splitlines()[1:]))
+    (local_summary, local_steps), remote = outputs
+    assert local_summary["output_len"] > 0 and len(local_steps) > 1
+    assert remote == (local_summary, local_steps)
 
 
 def test_serve_oracle_bad_listen(capsys):
-    code, _, err = run_cli(
-        capsys, "serve-oracle", "--corpus", "bundled:repetitive.txt", "--listen", "nonsense"
-    )
+    code, _, err = run_cli(capsys, "serve-oracle", "--config", DEMO, "--listen", "nonsense")
     assert code == 1
 
 
-@pytest.mark.parametrize("listen", ["127.0.0.1:99999", "127.0.0.1:65536"])
+@pytest.mark.parametrize("listen", ["127.0.0.1:99999", "127.0.0.1:65536", "127.0.0.1:\u00b2"])
 def test_serve_oracle_port_out_of_range_exits_1(capsys, listen):
-    code, out, err = run_cli(
-        capsys, "serve-oracle", "--corpus", "bundled:repetitive.txt", "--listen", listen
-    )
+    code, out, err = run_cli(capsys, "serve-oracle", "--config", DEMO, "--listen", listen)
     assert code == 1
     assert "serving" not in out
     assert f"error: bad --listen {listen!r}" in err
 
 
-def test_serve_oracle_negative_prompt_tokens_exits_1(capsys, monkeypatch):
+def _never_serve(monkeypatch):
     def never(self):
-        raise AssertionError("served with a negative --prompt-tokens")
+        raise AssertionError("served a config that should have been refused")
 
     monkeypatch.setattr(OracleServer, "serve_forever", never)
-    code, out, err = run_cli(
-        capsys, "serve-oracle", "--kind", "replay", "--corpus", "bundled:repetitive.txt",
-        "--prompt-tokens", "-5", "--listen", "127.0.0.1:0",
+
+
+def test_serve_oracle_negative_prompt_tokens_exits_1(tmp_path, capsys, monkeypatch):
+    _never_serve(monkeypatch)
+    cfg = write_config(
+        tmp_path / "served.json",
+        {"corpus": "bundled:repetitive.txt", "prompt_tokens": -5, "oracle": {"kind": "replay"}},
     )
-    assert code == 1
-    assert "serving" not in out
-    assert "error: --prompt-tokens must be >= 0, got -5" in err
+    code, out, err = run_cli(capsys, "serve-oracle", "--config", cfg, "--listen", "127.0.0.1:0")
+    assert (code, out) == (1, "")
+    assert err == "error: prompt_tokens must be >= 1, got -5\n"
 
 
-def test_serve_oracle_unbuildable_spec_exits_1(capsys, monkeypatch):
-    def never(self):
-        raise AssertionError("served an oracle spec that cannot build")
+def test_serve_oracle_unbuildable_spec_exits_1(tmp_path, capsys, monkeypatch):
+    # the factory is called once before serving: a replay oracle needs an eos
+    _never_serve(monkeypatch)
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(json.dumps({"tokens": [base64.b64encode(bytes([i])).decode() for i in range(256)]}))
+    cfg = write_config(tmp_path / "served.json", {
+        "corpus": "bundled:shuffled.txt", "tokenizer": {"vocab_path": str(vocab)}, "oracle": {"kind": "replay"},
+    })
+    code, out, err = run_cli(capsys, "serve-oracle", "--config", cfg, "--listen", "127.0.0.1:0")
+    assert (code, out) == (1, "")
+    assert err == "error: replay eos must be an integer, got None\n"
 
-    monkeypatch.setattr(OracleServer, "serve_forever", never)
-    code, out, err = run_cli(
-        capsys, "serve-oracle", "--kind", "replay", "--corpus", "bundled:shuffled.txt",
-        "--prompt-tokens", "100000", "--listen", "127.0.0.1:0",
-    )
-    assert code == 1
-    assert "serving" not in out
-    assert "error: replay target must be non-empty" in err
+
+def test_serve_oracle_refuses_an_external_oracle(tmp_path, capsys, monkeypatch):
+    import specdec.cli as cli_mod
+
+    def unread(ref):
+        raise AssertionError(f"corpus {ref} read before the oracle kind was checked")
+
+    monkeypatch.setattr(cli_mod, "resolve_corpus_ref", unread)
+    _never_serve(monkeypatch)
+    cfg = write_config(tmp_path / "served.json", {
+        "corpus": "bundled:repetitive.txt", "oracle": {"kind": "external", "endpoint": "127.0.0.1:1"},
+    })
+    code, out, err = run_cli(capsys, "serve-oracle", "--config", cfg, "--listen", "127.0.0.1:0")
+    assert (code, out) == (1, "")
+    assert err == "error: oracle.kind must be replay or markov to serve, got 'external'\n"
+
+
+def test_readme_cli_examples_parse():
+    # every example in README's CLI block names only commands and flags that exist
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    examples = [shlex.split(line, comments=True) for line in block.splitlines()]
+    examples = [argv for argv in examples if argv[:1] == ["specdec"]]
+    assert len(examples) >= 6
+    parser = build_parser()
+    for argv in examples:
+        parser.parse_args(argv[1:])
 
 
 GOLDEN = {

@@ -154,6 +154,17 @@ def test_connect_error_is_distinct():
         ExternalOracle("not-an-endpoint")
 
 
+@pytest.mark.parametrize("endpoint", ["127.0.0.1:65536", "127.0.0.1:99999", "127.0.0.1:\u00b2", ":7711"])
+def test_bad_endpoint_is_refused_before_a_socket_opens(monkeypatch, endpoint):
+    # 99999 would wrap to port 34463, and "²" passes str.isdigit
+    def never(*args, **kwargs):
+        raise AssertionError(f"connected to {endpoint!r}")
+
+    monkeypatch.setattr(socket, "create_connection", never)
+    with pytest.raises(OracleConnectError, match=f"bad endpoint {endpoint!r}; expected HOST:PORT"):
+        ExternalOracle(endpoint)
+
+
 def test_protocol_violation_is_distinct():
     # a server that answers with garbage
     lst = socket.socket()
