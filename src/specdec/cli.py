@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -158,11 +159,22 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
             raise ConfigError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
     if oracle["kind"] == "external" and not oracle["endpoint"]:
         raise ConfigError("oracle.endpoint is required when oracle.kind is 'external'")
-    if cfg.prompt_tokens < 1:
-        raise ConfigError(f"prompt_tokens must be >= 1, got {cfg.prompt_tokens}")
-    if not cfg.corpus.startswith("bundled:") and not Path(cfg.corpus).exists():
+    if oracle["endpoint"] is not None:
+        try:
+            _split_endpoint(oracle["endpoint"], "oracle.endpoint")
+        except OracleError as exc:
+            raise ConfigError(str(exc)) from None
+    for name, value, least in (
+        ("prompt_tokens", cfg.prompt_tokens, 1),
+        ("oracle.order", oracle["order"], 1),
+        ("tokenizer.train_size", tok["train_size"], 257),  # 256 byte tokens and eos
+    ):
+        if value < least:
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
+    # os.path, not Path: a name too long to stat is not found, not an OSError
+    if not cfg.corpus.startswith("bundled:") and not os.path.exists(cfg.corpus):
         raise ConfigError(f"corpus file not found: {cfg.corpus}")
-    if tok["vocab_path"] is not None and not Path(tok["vocab_path"]).is_file():
+    if tok["vocab_path"] is not None and not os.path.isfile(tok["vocab_path"]):
         raise ConfigError(f"tokenizer.vocab_path file not found: {tok['vocab_path']}")
     return cfg
 
@@ -204,44 +216,36 @@ def _build_run(cfg: RunConfig) -> tuple[list[int], Callable[[], object], dict, o
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        cfg = load_config(args.config, args)
-        prompt, new_oracle, oracle_json, vocab = _build_run(cfg)
-        base = _decode_fresh(baseline_decode, new_oracle, prompt, cfg.decode, cfg.cost_model)
-        accel = _decode_fresh(speculative_decode, new_oracle, prompt, cfg.decode, cfg.cost_model)
-        metrics = compute_metrics(accel, base, cfg.cost_model)
-        if cfg.trace_path:
-            write_trace(cfg.trace_path, accel, oracle_json, cfg.cost_model)
-        if cfg.report_path:
-            text = detokenize(accel.output, vocab).decode("utf-8", errors="replace")
-            _atomic_write(cfg.report_path, "\n".join([
-                "decode report",
-                "=============",
-                f"n_max={cfg.decode.n_max} k_draft={cfg.decode.k_draft} "
-                f"max_new_tokens={cfg.decode.max_new_tokens}",
-                f"runtime_update={cfg.decode.runtime_update} "
-                f"fixed_level_only={cfg.decode.fixed_level_only}",
-                f"oracle={cfg.oracle['kind']} prompt_tokens={len(prompt)}",
-                "",
-                f"output tokens: {len(accel.output)}",
-                f"steps: {metrics.steps}",
-                f"alpha (draft hit ratio): {metrics.alpha:.4f}",
-                f"mean committed per step: {metrics.mean_committed_per_step:.4f}",
-                f"speedup_sim: {metrics.speedup_sim:.4f}",
-                f"bound (alpha*K+1): {metrics.theoretical_bound:.4f}",
-                "",
-                "output text",
-                "-----------",
-                text,
-                "",
-            ]))
-    except LosslessnessError as exc:
-        print(f"losslessness violation: {exc}", file=sys.stderr)
-        return EXIT_LOSSLESSNESS
-    except (ConfigError, OracleError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
+    cfg = load_config(args.config, args)
+    prompt, new_oracle, oracle_json, vocab = _build_run(cfg)
+    base = _decode_fresh(baseline_decode, new_oracle, prompt, cfg.decode, cfg.cost_model)
+    accel = _decode_fresh(speculative_decode, new_oracle, prompt, cfg.decode, cfg.cost_model)
+    metrics = compute_metrics(accel, base, cfg.cost_model)
+    if cfg.trace_path:
+        write_trace(cfg.trace_path, accel, oracle_json, cfg.cost_model)
+    if cfg.report_path:
+        text = detokenize(accel.output, vocab).decode("utf-8", errors="replace")
+        _atomic_write(cfg.report_path, "\n".join([
+            "decode report",
+            "=============",
+            f"n_max={cfg.decode.n_max} k_draft={cfg.decode.k_draft} "
+            f"max_new_tokens={cfg.decode.max_new_tokens}",
+            f"runtime_update={cfg.decode.runtime_update} "
+            f"fixed_level_only={cfg.decode.fixed_level_only}",
+            f"oracle={cfg.oracle['kind']} prompt_tokens={len(prompt)}",
+            "",
+            f"output tokens: {len(accel.output)}",
+            f"steps: {metrics.steps}",
+            f"alpha (draft hit ratio): {metrics.alpha:.4f}",
+            f"mean committed per step: {metrics.mean_committed_per_step:.4f}",
+            f"speedup_sim: {metrics.speedup_sim:.4f}",
+            f"bound (alpha*K+1): {metrics.theoretical_bound:.4f}",
+            "",
+            "output text",
+            "-----------",
+            text,
+            "",
+        ]))
     if args.json:
         print(json.dumps({
             "config": str(args.config),
@@ -266,44 +270,41 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _parse_grid(text: str, key: str, cap: int | None = None) -> list[int]:
-    """Comma-separated values and lo-hi ranges. A range whose lo is above its
-    hi, whose hi is above `cap`, or that would take the grid past
-    MAX_GRID_VALUES values, is refused before it is expanded."""
+    """Comma-separated integers and lo-hi ranges; anything else is refused
+    naming `key`. A range whose lo is above its hi, a value or range above
+    `cap`, or one that would take the grid past MAX_GRID_VALUES values, is
+    refused before it is expanded."""
     values: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if "-" in part[1:]:
-            lo, hi = map(int, part.split("-", 1))
-            if lo > hi:
-                raise ValueError(f"{key} range {part} is empty: its lo is above its hi")
-            if cap is not None and hi > cap:
-                raise ValueError(f"{key} must be <= {cap}, got {part}")
-            if len(values) + hi - lo + 1 > MAX_GRID_VALUES:
-                raise ValueError(f"{key} grid must hold at most {MAX_GRID_VALUES} values, got {part}")
-            values.extend(range(lo, hi + 1))
-        else:
-            values.append(int(part))
+        try:  # a leading "-" is a sign, any later one splits a range
+            lo, hi = map(int, part.split("-", 1)) if "-" in part[1:] else (int(part),) * 2
+        except ValueError:
+            raise ValueError(f"{key} grid takes integers and lo-hi ranges, got {part!r}") from None
+        if lo > hi:
+            raise ValueError(f"{key} range {part} is empty: its lo is above its hi")
+        if cap is not None and hi > cap:
+            raise ValueError(f"{key} must be <= {cap}, got {part}")
+        if len(values) + hi - lo + 1 > MAX_GRID_VALUES:
+            raise ValueError(f"{key} grid must hold at most {MAX_GRID_VALUES} values, got {part}")
+        values.extend(range(lo, hi + 1))
     return values
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        n_grid = _parse_grid(args.n_grid, "n_max", N_MAX_CAP)
-        k_grid = _parse_grid(args.k_grid, "k_draft")
-        if not n_grid or not k_grid:
-            raise ValueError("empty sweep grid")
-        cfg = load_config(args.config, args)
-        prompt, new_oracle, oracle_json, _ = _build_run(cfg)
-        table = sweep(new_oracle, [prompt], n_grid, k_grid, cfg.decode, cfg.cost_model)
-        table.config.update(oracle=oracle_json, seed=cfg.seed)
-        out_csv = Path(args.out)
-        sidecar = out_csv.with_suffix(out_csv.suffix + ".config.json")
-        write_sweep_csv(table, out_csv, sidecar)
-    except (ConfigError, OracleError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    n_grid = _parse_grid(args.n_grid, "n_max", N_MAX_CAP)
+    k_grid = _parse_grid(args.k_grid, "k_draft")
+    if not n_grid or not k_grid:
+        raise ValueError("empty sweep grid")
+    cfg = load_config(args.config, args)
+    prompt, new_oracle, oracle_json, _ = _build_run(cfg)
+    table = sweep(new_oracle, [prompt], n_grid, k_grid, cfg.decode, cfg.cost_model)
+    table.config.update(oracle=oracle_json, seed=cfg.seed)
+    out_csv = Path(args.out)
+    sidecar = out_csv.with_suffix(out_csv.suffix + ".config.json")
+    write_sweep_csv(table, out_csv, sidecar)
     # a cell without a metric is all nan; if every cell is, say why once per reason
     if all(math.isnan(row.alpha) for row in table.rows):
         for reason in dict.fromkeys(e for row in table.rows for e in row.errors):
@@ -319,23 +320,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     """Word and token counts of the config's corpus in its tokenizer: one row
     per file of a directory corpus, then one for the whole corpus."""
-    try:
-        cfg = load_config(args.config)
-        root = Path(cfg.corpus)
-        if cfg.corpus.startswith("bundled:") or not root.is_dir():
-            files = [cfg.corpus]
-        else:
-            files = [str(f) for f in sorted(root.iterdir()) if f.is_file()]
-        texts = [resolve_corpus_ref(f) for f in files]
-        whole = b"".join(texts)
-        vocab = _build_vocab(cfg.tokenizer, whole)
-        rows = []
-        for f, text in [*zip(files, texts), ("<aggregate>", whole)]:
-            st = corpus_stats(text, vocab, cfg.tokenizer["mode"])
-            rows.append({"file": f, "words": st.word_count, "tokens": st.token_count, "ratio": st.ratio})
-    except (ConfigError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    cfg = load_config(args.config)
+    root = Path(cfg.corpus)
+    if cfg.corpus.startswith("bundled:") or not root.is_dir():
+        files = [cfg.corpus]
+    else:
+        files = [str(f) for f in sorted(root.iterdir()) if f.is_file()]
+    texts = [resolve_corpus_ref(f) for f in files]
+    whole = b"".join(texts)
+    vocab = _build_vocab(cfg.tokenizer, whole)
+    rows = []
+    for f, text in [*zip(files, texts), ("<aggregate>", whole)]:
+        st = corpus_stats(text, vocab, cfg.tokenizer["mode"])
+        rows.append({"file": f, "words": st.word_count, "tokens": st.token_count, "ratio": st.ratio})
     if args.json:
         print(json.dumps(rows, sort_keys=True))
     else:
@@ -346,18 +343,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_serve_oracle(args: argparse.Namespace) -> int:
     """Serve the oracle that `run --config` would decode against."""
-    try:
-        host, port = _split_endpoint(args.listen, "--listen")
-        cfg = load_config(args.config)
-        kind = cfg.oracle["kind"]
-        if kind == "external":
-            raise ConfigError("oracle.kind must be replay or markov to serve, got 'external'")
-        new_oracle = _build_run(cfg)[1]
-        new_oracle()  # a factory that cannot build fails here, not on every connection
-        server = OracleServer(new_oracle, host=host, port=port)
-    except (ConfigError, OracleError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    host, port = _split_endpoint(args.listen, "--listen")
+    cfg = load_config(args.config)
+    kind = cfg.oracle["kind"]
+    if kind == "external":
+        raise ConfigError("oracle.kind must be replay or markov to serve, got 'external'")
+    new_oracle = _build_run(cfg)[1]
+    new_oracle()  # a factory that cannot build fails here, not on every connection
+    server = OracleServer(new_oracle, host=host, port=port)
     print(f"serving {kind} oracle on {server.address}")
     try:
         server.serve_forever()
@@ -416,9 +409,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and map what it raises to an exit code: 2 for an
+    engine bug, 1 for a config, IO or oracle error."""
     logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except LosslessnessError as exc:
+        print(f"losslessness violation: {exc}", file=sys.stderr)
+        return EXIT_LOSSLESSNESS
+    except (ConfigError, OracleError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

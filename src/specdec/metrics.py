@@ -169,7 +169,8 @@ def sweep(
     from `new_oracle()`; cell values are arithmetic means across prompts.
     Per-run failures, a factory that raises included, are recorded in the
     row, and under `config["errors"]` by cell ("n=N,k=K") when there are
-    any, and do not abort the sweep. Rows are ordered n then k ascending;
+    any, and do not abort the sweep; a `LosslessnessError` is an engine bug,
+    not a failed run, and propagates. Rows are ordered n then k ascending;
     cells are independent, so completion order can never change the table.
     The config does not describe the oracle; the caller adds that.
     """
@@ -201,9 +202,10 @@ def sweep(
                     continue
                 try:
                     accel = _decode_fresh(speculative_decode, new_oracle, prompt, opts, cm)
-                    metrics.append(compute_metrics(accel, base, cm))
                 except Exception as exc:  # noqa: BLE001 - recorded per cell
                     errors.append(f"prompt {idx}: {type(exc).__name__}: {exc}")
+                    continue
+                metrics.append(compute_metrics(accel, base, cm))
             def mean(name: str) -> float:
                 vals = [getattr(m, name) for m in metrics]
                 return sum(vals) / len(vals) if vals else float("nan")

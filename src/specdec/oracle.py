@@ -3,12 +3,12 @@
 An oracle owns a cache of consumed tokens. `extend(tokens)` consumes the
 batch and returns one greedy prediction per consumed position; for the same
 total consumed prefix the predictions are identical no matter how the
-prefix was chunked into calls. `reset()` empties the cache, and
-`truncate_cache(length)` keeps only its first `length` tokens. Both are
-part of the contract: in-process oracles truncate in O(1), `ExternalOracle`
-by sending the position with its next `extend`. Every oracle refuses a
-`length` that is not a plain int in [0, consumed_len] with `ValueError`,
-before any state changes.
+prefix was chunked into calls. `truncate_cache(length)` keeps only the
+cache's first `length` tokens, and `reset()` is `truncate_cache(0)`: one
+rollback primitive, which in-process oracles apply in O(1) and
+`ExternalOracle` by sending the position with its next `extend`. Every
+oracle refuses a `length` that is not a plain int in [0, consumed_len] with
+`ValueError`, before any state changes.
 
 The decoder tracks the consumed length itself and calls `truncate_cache`
 only after a verify that rejected a drafted token, to drop the rejected
@@ -250,10 +250,11 @@ class ExternalOracle:
     `OracleProtocolError` and the socket closed, so a server that never
     sends a newline cannot grow the client's memory without limit.
 
-    `truncate_cache` checks the position locally and sends nothing: it
-    records it, and the next `extend` carries it as `"at"`, so the server
-    truncates and extends in one round trip; a position the server refuses
-    shows up as an error of that `extend`.
+    `truncate_cache`, and so `reset`, checks the position locally and sends
+    nothing: it records it, and the next `extend` carries it as `"at"`, so
+    the server truncates and extends in one round trip; a position the
+    server refuses shows up as an error of that `extend`. The only other
+    request is the `info` handshake that `__init__` sends.
     A server whose `info` does not say `"at": true` is refused with
     `OracleProtocolError`: it would ignore the position and answer for the
     wrong prefix.
@@ -269,7 +270,7 @@ class ExternalOracle:
         self._consumed = 0
         self._at: int | None = None  # truncation the next extend carries
         try:
-            info = self._request({"op": "info"})
+            info = self._reply(self._exchange(b'{"op": "info"}\n'))
             try:
                 self.vocab_size = int(info["vocab_size"])
                 eos = int(info["eos"])
@@ -285,9 +286,6 @@ class ExternalOracle:
     @property
     def consumed_len(self) -> int:
         return self._consumed
-
-    def _request(self, payload: dict) -> dict:
-        return self._reply(self._exchange(json.dumps(payload).encode("utf-8") + b"\n"))
 
     def _exchange(self, line: bytes) -> bytes | bytearray:
         """Send one request line and return its reply line."""
@@ -359,9 +357,7 @@ class ExternalOracle:
         return preds
 
     def reset(self) -> None:
-        self._request({"op": "reset"})
-        self._consumed = 0
-        self._at = None
+        self.truncate_cache(0)
 
     def truncate_cache(self, length: int) -> None:
         _check_position(length, self._consumed)

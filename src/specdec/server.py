@@ -13,11 +13,12 @@ closed. At most MAX_CONNECTIONS connections are served at once; one over
 the cap gets an error line and is closed without a thread being started
 for it.
 
-An `extend` may carry `"at": L`: the oracle is truncated to L consumed
-tokens and then extended, so a client rolls back a rejected draft in the
-same round trip that verifies the next one. `info` says `"at": true`;
-clients refuse a server that does not. The served oracle must have
-`truncate_cache`, as the oracle contract requires.
+A server answers two ops, `extend` and `info`. An `extend` may carry
+`"at": L`: the oracle is truncated to L consumed tokens and then extended,
+so a client rolls back a rejected draft in the same round trip that
+verifies the next one, and restarts a decode with `"at": 0` on its prefill.
+`info` says `"at": true`; clients refuse a server that does not. The served
+oracle must have `truncate_cache`, as the oracle contract requires.
 """
 
 from __future__ import annotations
@@ -111,9 +112,6 @@ def _handle_json(oracle, payload: bytes, vocab_size: int, truncate) -> bytes:
         if at is not None and type(at) is not int:
             return _at_refused(oracle, at)
         return _extend(oracle, tokens, at, truncate)
-    if op == "reset":
-        oracle.reset()
-        return _line({"ok": True})
     if op == "info":
         eos = oracle.eos if oracle.eos is not None else -1
         return _line({"ok": True, "vocab_size": vocab_size, "eos": eos, "at": True})

@@ -89,6 +89,15 @@ def test_run_missing_corpus_exits_1(tmp_path, capsys):
     assert "nope.txt" in err
 
 
+@pytest.mark.parametrize("section, key", [("", "corpus"), ("tokenizer", "vocab_path")])
+def test_a_path_too_long_to_stat_is_not_found(tmp_path, section, key):
+    config = {"corpus": "bundled:repetitive.txt"}
+    (config.setdefault(section, {}) if section else config)[key] = "x" * 5000
+    name = f"{section}.{key}".lstrip(".")
+    with pytest.raises(ConfigError, match=f"^{name} file not found: x"):
+        load_config(write_config(tmp_path / "long.json", config))
+
+
 def test_run_missing_config_exits_1(capsys):
     code, _, err = run_cli(capsys, "run", "--config", "/does/not/exist.json")
     assert code == 1
@@ -254,16 +263,41 @@ def test_any_json_scalar_loads_as_the_typed_value_or_names_its_key(tmp_path_fact
     assert loaded == value  # never nan, which equals nothing
 
 
-@pytest.mark.parametrize("value", [-5, 0])
-def test_run_prompt_tokens_below_1_exits_1(tmp_path, capsys, value):
-    cfg = tmp_path / "prompt.json"
-    cfg.write_text(json.dumps(
-        {"corpus": "bundled:repetitive.txt", "prompt_tokens": value, "decode": {"max_new_tokens": 50}}
-    ))
-    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
-    assert code == 1
-    assert out == ""
-    assert f"prompt_tokens must be >= 1, got {value}" in err
+@pytest.mark.parametrize("settings, message", [
+    pytest.param({"prompt_tokens": -5}, "prompt_tokens must be >= 1, got -5", id="-5"),
+    pytest.param({"prompt_tokens": 0}, "prompt_tokens must be >= 1, got 0", id="0"),
+    pytest.param(
+        {"oracle": {"kind": "markov", "order": 0}}, "oracle.order must be >= 1, got 0", id="oracle.order"
+    ),
+    pytest.param(
+        {"tokenizer": {"mode": "bpe", "train_size": 256}},
+        "tokenizer.train_size must be >= 257, got 256",
+        id="tokenizer.train_size",
+    ),
+    pytest.param(
+        {"oracle": {"kind": "external", "endpoint": "127.0.0.1:99999"}},
+        "bad oracle.endpoint '127.0.0.1:99999'; expected HOST:PORT with a port of 0..65535",
+        id="oracle.endpoint",
+    ),
+])
+def test_run_prompt_tokens_below_1_exits_1(tmp_path, capsys, monkeypatch, settings, message):
+    # a value out of range is refused naming its key when the config loads,
+    # before the corpus is read and before sweep writes a CSV
+    import specdec.cli as cli_mod
+
+    def unread(ref):
+        raise AssertionError(f"corpus {ref} read before the config was checked")
+
+    monkeypatch.setattr(cli_mod, "resolve_corpus_ref", unread)
+    cfg = write_config(
+        tmp_path / "range.json",
+        {"corpus": "bundled:repetitive.txt", "decode": {"max_new_tokens": 50}, **settings},
+    )
+    out_csv = tmp_path / "x.csv"
+    for argv in (("run",), ("sweep", "--n-grid", "2", "--k-grid", "1", "--out", str(out_csv))):
+        code, out, err = run_cli(capsys, *argv, "--config", cfg)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), argv
+    assert not out_csv.exists()
 
 
 def test_run_losslessness_violation_exits_2(monkeypatch, capsys):
@@ -421,6 +455,29 @@ def test_sweep_with_some_cells_failed_exits_0(tmp_path, capsys, monkeypatch):
     assert sidecar["errors"] == {"n=2,k=2": ["prompt 0: RuntimeError: k2 broke"]}
 
 
+def test_sweep_losslessness_violation_exits_2(tmp_path, capsys, monkeypatch):
+    # an engine bug in one cell is not a failed cell: the sweep stops and exits 2, as run does
+    import specdec.metrics as metrics_mod
+
+    real = metrics_mod.speculative_decode
+
+    def corrupts_k2(oracle, prompt, options, cost_model=None):
+        result = real(oracle, prompt, options, cost_model)
+        if options.k_draft == 2:
+            result.output[-1] += 1
+        return result
+
+    monkeypatch.setattr(metrics_mod, "speculative_decode", corrupts_k2)
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(
+        capsys, "sweep", "--config", DEMO, "--n-grid", "3", "--k-grid", "1,2",
+        "--max-new-tokens", "16", "--out", str(out),
+    )
+    assert (code, stdout) == (2, "")
+    assert err.startswith("losslessness violation: outputs diverge at position 15")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("grid, ok", [("1-1024", True), ("1-1025", False), ("1-1000,1001-1025", False)])
 def test_parse_grid_counts_values_before_expanding(grid, ok):
     from specdec.cli import _parse_grid
@@ -440,6 +497,16 @@ def test_sweep_reversed_range_exits_1(tmp_path, capsys, grids, refused):
     code, out, err = run_cli(capsys, "sweep", "--config", DEMO, *grids, "--out", str(tmp_path / "x.csv"))
     assert (code, out) == (1, "")
     assert err == f"error: {refused} is empty: its lo is above its hi\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("grids, refused", [
+    (("--n-grid", "2", "--k-grid", "x"), "k_draft grid takes integers and lo-hi ranges, got 'x'"),
+    (("--n-grid", "2-x", "--k-grid", "1"), "n_max grid takes integers and lo-hi ranges, got '2-x'"),
+])
+def test_sweep_non_integer_grid_value_exits_1(tmp_path, capsys, grids, refused):
+    code, out, err = run_cli(capsys, "sweep", "--config", DEMO, *grids, "--out", str(tmp_path / "x.csv"))
+    assert (code, out, err) == (1, "", f"error: {refused}\n")
     assert not (tmp_path / "x.csv").exists()
 
 

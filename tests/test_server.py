@@ -5,6 +5,7 @@ import socket
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -117,9 +118,27 @@ def test_unknown_op_and_bad_extend_are_reported(markov_server):
     server, _ = markov_server
     replies = raw_exchange(
         server.address,
-        [b'{"op":"frobnicate"}', b'{"op":"extend","tokens":[]}', b'{"op":"extend","tokens":"x"}'],
+        [b'{"op":"frobnicate"}', b'{"op":"extend","tokens":[]}', b'{"op":"extend","tokens":"x"}',
+         b'{"op":"reset"}'],  # a restart is "at": 0 on the next extend
     )
     assert all(r["ok"] is False for r in replies)
+    assert replies[-1]["error"] == "unknown op 'reset'"
+
+
+def test_readme_wire_block_requests_are_answered_in_order():
+    # every request line of README's wire block, fed in order to one oracle
+    # whose vocab covers the ids shown, gets an "ok" reply with the keys shown
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Wire protocol\n", 1)[1].split("```", 2)[1]
+    shown = [line[3:].split("<-") for line in block.splitlines() if line.startswith("-> ")]
+    assert len(shown) >= 3
+    oracle = MarkovOracle(list(range(256)), order=1, seed=0)
+    for request, reply in shown:
+        line = _handle_request(oracle, request.strip().encode(), oracle.vocab_size, oracle.truncate_cache)
+        got, want = json.loads(line), json.loads(reply)
+        assert got["ok"] is True and got.keys() == want.keys(), request
+        if "predictions" not in want:
+            assert got == want, request
 
 
 def test_connections_do_not_share_cache(markov_server):
@@ -392,7 +411,7 @@ def test_server_side_oracle_error_is_reported(markov_server):
     remote = ExternalOracle(server.address)
     with pytest.raises(OracleError):
         # negative ids are rejected by request validation server-side
-        remote._request({"op": "extend", "tokens": [-1]})
+        remote.extend([-1])
     remote.close()
 
 
@@ -496,8 +515,8 @@ def test_truncate_cache_is_checked_locally_and_sent_lazily(markov_server):
     assert remote.consumed_len == 1
     local.truncate_cache(1)
     assert remote.extend([6, 0]) == local.extend([6, 0])
-    remote.truncate_cache(0)
-    remote.reset()  # a reset drops the pending position
+    remote.truncate_cache(2)
+    remote.reset()  # a reset is truncate_cache(0): the later position wins
     assert remote.extend([2]) == MarkovOracle(corpus, order=2, seed=5).extend([2])
     remote.close()
 
@@ -518,7 +537,7 @@ def test_truncate_cache_refuses_non_int_positions(markov_server, position):
 
 
 class _CountingOracle:
-    """Counts the extend and reset requests a served oracle receives."""
+    """Counts the extend and reset calls a served oracle receives."""
 
     def __init__(self, inner, counts) -> None:
         self._inner = inner
@@ -560,8 +579,9 @@ def test_speculative_decode_over_tcp_matches_in_process():
         assert over_tcp.totals == in_process.totals
         rollbacks = sum(1 for s in in_process.steps if s.accepted_count < len(s.drafted))
         assert rollbacks > 0
-        # one request per model call: rollbacks ride on the next extend
-        assert counts == {"extend": in_process.totals.llm_calls, "reset": 1}
+        # one request per model call: rollbacks and the restart ride on the
+        # next extend, so the served oracle is never reset
+        assert counts == {"extend": in_process.totals.llm_calls, "reset": 0}
 
 
 _OPS = st.lists(
