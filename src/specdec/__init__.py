@@ -14,7 +14,6 @@ from .decoding import (
     DecodeTotals,
     StepRecord,
     baseline_decode,
-    read_trace,
     speculative_decode,
     write_trace,
 )
@@ -44,10 +43,8 @@ from .oracle import (
 )
 from .server import OracleServer
 from .tokenizer import (
-    CorpusStats,
     Vocab,
     byte_vocab,
-    corpus_stats,
     decode,
     encode,
     load_vocab,
@@ -64,7 +61,6 @@ __all__ = [
     "DecodeTotals",
     "StepRecord",
     "baseline_decode",
-    "read_trace",
     "speculative_decode",
     "write_trace",
     "LosslessnessError",
@@ -88,10 +84,8 @@ __all__ = [
     "ReplayOracle",
     "simulate_cost",
     "OracleServer",
-    "CorpusStats",
     "Vocab",
     "byte_vocab",
-    "corpus_stats",
     "decode",
     "encode",
     "load_vocab",

@@ -1,8 +1,8 @@
-"""Command-line entry point: run, sweep, stats, serve-oracle.
+"""Command-line entry point: run, sweep, serve-oracle.
 
 Every command reads one JSON run config (`--config`), loaded and checked by
-`load_config`: `run` and `sweep` decode with it, `stats` counts its corpus
-in its tokenizer, and `serve-oracle` serves the oracle it describes.
+`load_config`: `run` and `sweep` decode with it, and `serve-oracle` serves
+the oracle it describes.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .server import OracleServer
 from .tokenizer import (
     MODES,
     byte_vocab,
-    corpus_stats,
     decode as detokenize,
     encode,
     load_vocab,
@@ -317,30 +316,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    """Word and token counts of the config's corpus in its tokenizer: one row
-    per file of a directory corpus, then one for the whole corpus."""
-    cfg = load_config(args.config)
-    root = Path(cfg.corpus)
-    if cfg.corpus.startswith("bundled:") or not root.is_dir():
-        files = [cfg.corpus]
-    else:
-        files = [str(f) for f in sorted(root.iterdir()) if f.is_file()]
-    texts = [resolve_corpus_ref(f) for f in files]
-    whole = b"".join(texts)
-    vocab = _build_vocab(cfg.tokenizer, whole)
-    rows = []
-    for f, text in [*zip(files, texts), ("<aggregate>", whole)]:
-        st = corpus_stats(text, vocab, cfg.tokenizer["mode"])
-        rows.append({"file": f, "words": st.word_count, "tokens": st.token_count, "ratio": st.ratio})
-    if args.json:
-        print(json.dumps(rows, sort_keys=True))
-    else:
-        for r in rows:
-            print(f"{r['file']}: words={r['words']} tokens={r['tokens']} ratio={r['ratio']:.4f}")
-    return EXIT_OK
-
-
 def cmd_serve_oracle(args: argparse.Namespace) -> int:
     """Serve the oracle that `run --config` would decode against."""
     host, port = _split_endpoint(args.listen, "--listen")
@@ -397,10 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--k-grid", required=True, help="e.g. 1-8")
     sw.add_argument("--out", required=True, help="CSV output path")
     sw.set_defaults(func=cmd_sweep)
-
-    st = sub.add_parser("stats", parents=[config], help="word/token counts of the config's corpus")
-    st.add_argument("--json", action="store_true", help="machine-parseable stdout")
-    st.set_defaults(func=cmd_stats)
 
     srv = sub.add_parser("serve-oracle", parents=[config], help="serve the config's oracle over TCP")
     srv.add_argument("--listen", default="127.0.0.1:7711", help="HOST:PORT")

@@ -25,7 +25,7 @@ verify of [carried] + drafted consumes all of it, and the committed prefix
 then ends one token (the new carried one) past the accepted draft tokens.
 So the oracle holds tokens past the committed prefix exactly when a verify
 rejected a drafted token, and only then does the next step call
-`truncate_cache`; the loop never reads `consumed_len`.
+`truncate_cache`; the loop never asks the oracle for its length.
 
 The accelerated loop logs each step as a few flat appends (drafted tokens
 and levels with per-step end offsets, accepted counts). Its
@@ -54,7 +54,6 @@ __all__ = [
     "baseline_decode",
     "speculative_decode",
     "write_trace",
-    "read_trace",
 ]
 
 
@@ -70,7 +69,6 @@ class DecodeOptions:
     k_draft: int = 7
     max_new_tokens: int = 128
     runtime_update: bool = True
-    stop_at_eos: bool = True
     fixed_level_only: bool = False
 
     def validate(self) -> None:
@@ -206,7 +204,7 @@ def baseline_decode(oracle, prompt: list[int], options: DecodeOptions,
         raise _wrap_oracle_error(exc, "prefill") from exc
     totals = DecodeTotals(llm_calls=1)
     carried = preds[-1]
-    eos = oracle.eos if options.stop_at_eos else None
+    eos = oracle.eos
     output: list[int] = []
     steps: list[StepRecord] = []
     while len(output) < options.max_new_tokens:
@@ -302,7 +300,7 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
         raise _wrap_oracle_error(exc, "prefill") from exc
     carried = preds[-1]
     budget, k_draft, fixed = options.max_new_tokens, options.k_draft, options.fixed_level_only
-    eos = oracle.eos if options.stop_at_eos else None
+    eos = oracle.eos
     counts = hits, reached = [1] * (options.n_max + 1), [1] * (options.n_max + 1)
     committed = store.committed
     stop = len(prompt) + budget  # the length of `committed` once the budget is spent
@@ -416,10 +414,3 @@ def write_trace(path: str | Path, result: DecodeResult, oracle_json: dict,
             )
         )
     _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def read_trace(path: str | Path) -> tuple[dict, list[dict]]:
-    with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        steps = [json.loads(line) for line in fh if line.strip()]
-    return header, steps

@@ -7,13 +7,13 @@ prefix was chunked into calls. `truncate_cache(length)` keeps only the
 cache's first `length` tokens, and `reset()` is `truncate_cache(0)`: one
 rollback primitive, which in-process oracles apply in O(1) and
 `ExternalOracle` by sending the position with its next `extend`. Every
-oracle refuses a `length` that is not a plain int in [0, consumed_len] with
+oracle refuses a `length` that is not a plain int in [0, consumed] with
 `ValueError`, before any state changes.
 
-The decoder tracks the consumed length itself and calls `truncate_cache`
-only after a verify that rejected a drafted token, to drop the rejected
-tail; it never reads `consumed_len`, which stays in the contract for the
-server and the tests.
+The contract has no way to read the consumed length: the decoder tracks it
+itself and calls `truncate_cache` only after a verify that rejected a
+drafted token, to drop the rejected tail, and a caller that needs the
+length counts the tokens it sent, as the decoder does.
 """
 
 from __future__ import annotations
@@ -55,6 +55,9 @@ class OracleTransportError(OracleError):
 class OracleProtocolError(OracleError):
     """The remote peer violated the wire protocol."""
 
+
+# Seconds `ExternalOracle` waits to connect and for each reply.
+_TIMEOUT_S = 10.0
 
 # A verify reply is some 60 bytes and a 600-token prefill's about 3 KB, so
 # one recv of this size almost always holds the whole reply line.
@@ -146,10 +149,6 @@ class ReplayOracle:
         self.vocab_size = max(self._script + [eos]) + 1
         self._consumed = 0
 
-    @property
-    def consumed_len(self) -> int:
-        return self._consumed
-
     def extend(self, tokens: list[int]) -> list[int]:
         _check_batch(tokens)
         base = self._consumed
@@ -198,10 +197,6 @@ class MarkovOracle:
         self._best: dict[tuple[int, ...], int] = {
             ctx: max(row.items(), key=lambda kv: (kv[1], -kv[0]))[0] for ctx, row in counts.items()
         }
-
-    @property
-    def consumed_len(self) -> int:
-        return len(self._consumed)
 
     def _predict(self) -> int:
         ctx = tuple(self._consumed[-self.order :])
@@ -257,13 +252,14 @@ class ExternalOracle:
     request is the `info` handshake that `__init__` sends.
     A server whose `info` does not say `"at": true` is refused with
     `OracleProtocolError`: it would ignore the position and answer for the
-    wrong prefix.
+    wrong prefix. So is one whose `vocab_size` and `eos` are not plain ints
+    with `vocab_size >= 1` and `-1 <= eos < vocab_size` (-1: no eos).
     """
 
-    def __init__(self, endpoint: str, *, timeout: float = 10.0) -> None:
+    def __init__(self, endpoint: str) -> None:
         host, port = _split_endpoint(endpoint)
         try:
-            self._sock = socket.create_connection((host, port), timeout=timeout)
+            self._sock = socket.create_connection((host, port), timeout=_TIMEOUT_S)
         except OSError as exc:
             raise OracleConnectError(f"cannot connect to {endpoint}: {exc}") from exc
         self.endpoint = endpoint
@@ -271,21 +267,18 @@ class ExternalOracle:
         self._at: int | None = None  # truncation the next extend carries
         try:
             info = self._reply(self._exchange(b'{"op": "info"}\n'))
-            try:
-                self.vocab_size = int(info["vocab_size"])
-                eos = int(info["eos"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise OracleProtocolError(f"bad info reply: {info!r}") from exc
+            vocab_size, eos = info.get("vocab_size"), info.get("eos")
+            # type(), not isinstance(): JSON true and false load as bools, which are ints
+            if not (type(vocab_size) is int and type(eos) is int
+                    and vocab_size >= 1 and -1 <= eos < vocab_size):
+                raise OracleProtocolError(f"bad info reply: {info!r}")
             if info.get("at") is not True:
                 raise OracleProtocolError(f"server does not offer 'at' truncation: {info!r}")
         except BaseException:
             self.close()
             raise
+        self.vocab_size = vocab_size
         self.eos = None if eos < 0 else eos
-
-    @property
-    def consumed_len(self) -> int:
-        return self._consumed
 
     def _exchange(self, line: bytes) -> bytes | bytearray:
         """Send one request line and return its reply line."""

@@ -17,6 +17,8 @@ A server answers two ops, `extend` and `info`. An `extend` may carry
 `"at": L`: the oracle is truncated to L consumed tokens and then extended,
 so a client rolls back a rejected draft in the same round trip that
 verifies the next one, and restarts a decode with `"at": 0` on its prefill.
+An `at` that is not an int, or that `truncate_cache` refuses, gets an error
+reply and changes nothing.
 `info` says `"at": true`; clients refuse a server that does not. The served
 oracle must have `truncate_cache`, as the oracle contract requires.
 """
@@ -110,7 +112,7 @@ def _handle_json(oracle, payload: bytes, vocab_size: int, truncate) -> bytes:
             })
         at = req.get("at")
         if at is not None and type(at) is not int:
-            return _at_refused(oracle, at)
+            return _line({"ok": False, "error": f"'at' must be an int, got {at!r}"})
         return _extend(oracle, tokens, at, truncate)
     if op == "info":
         eos = oracle.eos if oracle.eos is not None else -1
@@ -121,18 +123,11 @@ def _handle_json(oracle, payload: bytes, vocab_size: int, truncate) -> bytes:
 def _extend(oracle, tokens: list[int], at: int | None, truncate) -> bytes:
     """The reply to an `extend` of checked `tokens`, after truncating to
     `at` unless it is None. The oracle contract has `truncate` refuse a
-    position out of range with ValueError before any change."""
+    position out of range with ValueError before any change, which
+    `_handle_request` words as the error reply."""
     if at is not None:
-        try:
-            truncate(at)
-        except ValueError:
-            return _at_refused(oracle, at)
+        truncate(at)
     return (_EXTEND_REPLY % ", ".join(map(repr, oracle.extend(tokens)))).encode()
-
-
-def _at_refused(oracle, at) -> bytes:
-    consumed = oracle.consumed_len
-    return _line({"ok": False, "error": f"'at' must be an int in [0, {consumed}], got {at!r}"})
 
 
 class _Handler(socketserver.StreamRequestHandler):

@@ -17,13 +17,11 @@ from pathlib import Path
 
 __all__ = [
     "Vocab",
-    "CorpusStats",
     "byte_vocab",
     "word_vocab",
     "train_bpe",
     "encode",
     "decode",
-    "corpus_stats",
     "save_vocab",
     "load_vocab",
     "read_corpus",
@@ -32,7 +30,7 @@ __all__ = [
 MODES = ("byte", "whitespace", "bpe")
 
 # Maximal runs of whitespace / non-whitespace. Merges never cross a run
-# boundary, which keeps token_count >= word_count for subword vocabs.
+# boundary, so a subword encoding has at least one token per word.
 _RUN_RE = re.compile(rb"\s+|\S+")
 
 
@@ -64,13 +62,6 @@ class Vocab:
 
     def index_of(self, token: bytes) -> int | None:
         return self._index.get(token)  # type: ignore[attr-defined]
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    word_count: int
-    token_count: int
-    ratio: float
 
 
 def byte_vocab() -> Vocab:
@@ -246,17 +237,6 @@ def decode(ids: list[int], vocab: Vocab) -> bytes:
             raise ValueError(f"invalid token id {token_id!r} at position {pos}")
         out += vocab.tokens[token_id]
     return bytes(out)
-
-
-def corpus_stats(corpus: bytes | str, vocab: Vocab, mode: str = "byte") -> CorpusStats:
-    """Word count (maximal non-whitespace runs) vs token count under `mode`.
-    Ratio is 1.0 by convention when there are no words."""
-    if isinstance(corpus, str):
-        corpus = corpus.encode("utf-8")
-    words = len(corpus.split())
-    tokens = len(encode(corpus, vocab, mode))
-    ratio = tokens / words if words > 0 else 1.0
-    return CorpusStats(word_count=words, token_count=tokens, ratio=ratio)
 
 
 def save_vocab(vocab: Vocab, path: str | Path) -> None:

@@ -1,3 +1,4 @@
+import argparse
 import base64
 import json
 import queue
@@ -104,6 +105,13 @@ def test_run_missing_config_exits_1(capsys):
     assert "exist.json" in err
 
 
+def test_run_missing_corpus_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.json", {"corpus": "/no/such/corpus"})
+    code, out, err = run_cli(capsys, "run", "--config", cfg)
+    assert (code, out, err) == (1, "", "error: corpus file not found: /no/such/corpus\n")
+
+
+# stop_at_eos is no longer a key: a config that sets it exits 1 naming it all the same
 @pytest.mark.parametrize("key", ["runtime_update", "stop_at_eos", "fixed_level_only"])
 @pytest.mark.parametrize("value", ["false", 0, None])
 def test_run_non_bool_flag_exits_1(tmp_path, capsys, key, value):
@@ -567,10 +575,9 @@ def test_malformed_vocab_file_exits_1(tmp_path, capsys, payload):
     vocab.write_text(json.dumps(payload))
     cfg = tmp_path / "vocab_run.json"
     cfg.write_text(json.dumps({"corpus": "bundled:repetitive.txt", "tokenizer": {"vocab_path": str(vocab)}}))
-    for command in ("run", "stats"):
-        code, out, err = run_cli(capsys, command, "--config", str(cfg))
-        assert (code, out) == (1, "")
-        assert err.startswith(f"error: vocab {vocab}: ") and "Traceback" not in err
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: vocab {vocab}: ") and "Traceback" not in err
 
 
 SOURCE = {"corpus": "bundled:repetitive.txt", "mode": "byte", "prompt_tokens": 200}
@@ -626,58 +633,6 @@ def test_sweep_sidecar_describes_the_oracle(tmp_path, capsys):
         "kind": "replay", "eos": 256, "prompt_len": 600, "target_len": 7616,
         "source": {"corpus": "bundled:repetitive.txt", "mode": "byte", "prompt_tokens": 600},
     })
-
-
-def test_stats_bundled_byte_mode(tmp_path, capsys):
-    cfg = write_config(tmp_path / "stats.json", {"corpus": "bundled:repetitive.txt"})
-    code, out, _ = run_cli(capsys, "stats", "--config", cfg, "--json")
-    assert code == 0
-    rows = json.loads(out)
-    agg = rows[-1]
-    assert agg["file"] == "<aggregate>"
-    assert agg["ratio"] > 1.0
-
-
-def test_stats_bpe_mode(tmp_path, capsys):
-    f = tmp_path / "c.txt"
-    f.write_text("repeat repeat repeat tokens tokens tokens " * 10)
-    cfg = write_config(
-        tmp_path / "stats.json", {"corpus": str(f), "tokenizer": {"mode": "bpe", "train_size": 300}}
-    )
-    code, out, _ = run_cli(capsys, "stats", "--config", cfg, "--json")
-    assert code == 0
-    rows = json.loads(out)
-    assert all(r["ratio"] >= 1.0 for r in rows)
-
-
-def test_stats_directory_corpus_has_a_row_per_file(tmp_path, capsys):
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    (corpus / "b.txt").write_text("two words")
-    (corpus / "a.txt").write_text("one two three")
-    cfg = write_config(tmp_path / "stats.json", {"corpus": str(corpus), "tokenizer": {"mode": "whitespace"}})
-    code, out, _ = run_cli(capsys, "stats", "--config", cfg, "--json")
-    assert code == 0
-    rows = json.loads(out)
-    assert [(r["file"], r["words"]) for r in rows] == [
-        (str(corpus / "a.txt"), 3), (str(corpus / "b.txt"), 2), ("<aggregate>", 4),
-    ]
-
-
-def test_stats_empty_file(tmp_path, capsys):
-    f = tmp_path / "empty.txt"
-    f.write_bytes(b"")
-    cfg = write_config(tmp_path / "stats.json", {"corpus": str(f)})
-    code, out, _ = run_cli(capsys, "stats", "--config", cfg, "--json")
-    assert code == 0
-    rows = json.loads(out)
-    assert rows[0]["words"] == 0 and rows[0]["tokens"] == 0 and rows[0]["ratio"] == 1.0
-
-
-def test_stats_missing_corpus_exits_1(tmp_path, capsys):
-    cfg = write_config(tmp_path / "stats.json", {"corpus": "/no/such/corpus"})
-    code, out, err = run_cli(capsys, "stats", "--config", cfg)
-    assert (code, out, err) == (1, "", "error: corpus file not found: /no/such/corpus\n")
 
 
 @contextmanager
@@ -803,16 +758,41 @@ def test_serve_oracle_refuses_an_external_oracle(tmp_path, capsys, monkeypatch):
     assert err == "error: oracle.kind must be replay or markov to serve, got 'external'\n"
 
 
-def test_readme_cli_examples_parse():
-    # every example in README's CLI block names only commands and flags that exist
+def _readme_cli_examples() -> list[list[str]]:
+    """The argv of each `specdec` line in README's CLI block."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
     examples = [shlex.split(line, comments=True) for line in block.splitlines()]
-    examples = [argv for argv in examples if argv[:1] == ["specdec"]]
+    return [argv for argv in examples if argv[:1] == ["specdec"]]
+
+
+def test_readme_cli_examples_parse():
+    # every example in README's CLI block names only commands and flags that exist
+    examples = _readme_cli_examples()
     assert len(examples) >= 6
     parser = build_parser()
     for argv in examples:
         parser.parse_args(argv[1:])
+
+
+def test_readme_cli_block_shows_every_command():
+    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {argv[1] for argv in _readme_cli_examples()} == set(subparsers.choices)
+
+
+def test_stats_is_an_unknown_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--config", DEMO])
+    assert exc.value.code == 2
+    assert "invalid choice: 'stats'" in capsys.readouterr().err
+
+
+def test_run_with_stop_at_eos_exits_1_naming_the_key(tmp_path, capsys):
+    cfg = write_config(tmp_path / "eos.json", {
+        "corpus": "bundled:repetitive.txt", "decode": {"stop_at_eos": True},
+    })
+    code, out, err = run_cli(capsys, "run", "--config", cfg)
+    assert (code, out, err) == (1, "", "error: unknown config key decode.stop_at_eos\n")
 
 
 GOLDEN = {

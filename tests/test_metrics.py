@@ -216,7 +216,7 @@ def test_sweep_csv_writes_the_grid_point_as_ints_and_means_to_10_digits():
 
 def test_sweep_sidecar_holds_every_decode_option_bar_the_grid_axes():
     prompt, new_oracle = periodic_replay([4, 5, 6])
-    opts = DecodeOptions(max_new_tokens=12, runtime_update=False, stop_at_eos=False, fixed_level_only=True)
+    opts = DecodeOptions(max_new_tokens=12, runtime_update=False, fixed_level_only=True)
     config = sweep(new_oracle, [prompt], [2], [1], opts, FLAT).config
     options = {k: v for k, v in asdict(opts).items() if k not in ("n_max", "k_draft")}
     assert {k: config[k] for k in options} == options

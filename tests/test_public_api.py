@@ -12,14 +12,14 @@ import specdec
 PUBLIC = [
     "__version__",
     "DecodeOptions", "DecodeResult", "DecodeTotals", "StepRecord",
-    "baseline_decode", "read_trace", "speculative_decode", "write_trace",
+    "baseline_decode", "speculative_decode", "write_trace",
     "LosslessnessError", "RunMetrics", "SweepRow", "SweepTable", "compute_metrics",
     "sim_total_time", "sweep", "theoretical_bound", "write_sweep_csv",
     "NgramStore",
     "DEFAULT_COST_MODEL", "CostModel", "ExternalOracle", "MarkovOracle", "OracleConnectError",
     "OracleError", "OracleProtocolError", "OracleTransportError", "ReplayOracle", "simulate_cost",
     "OracleServer",
-    "CorpusStats", "Vocab", "byte_vocab", "corpus_stats", "decode", "encode", "load_vocab",
+    "Vocab", "byte_vocab", "decode", "encode", "load_vocab",
     "read_corpus", "save_vocab", "train_bpe", "word_vocab",
 ]
 
@@ -27,7 +27,7 @@ MODULES = ["specdec"] + [f"specdec.{m.name}" for m in pkgutil.iter_modules(specd
 
 
 def test_package_all_is_pinned():
-    assert len(PUBLIC) == 41
+    assert len(PUBLIC) == 38
     assert specdec.__all__ == PUBLIC
 
 

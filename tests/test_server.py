@@ -98,7 +98,6 @@ def test_extend_reset_round_trip_matches_in_process(markov_server):
     assert remote.extend([1, 2, 3]) == local.extend([1, 2, 3])
     remote.reset()
     local.reset()
-    assert remote.consumed_len == 0
     assert remote.extend([4, 5]) == local.extend([4, 5])
     remote.close()
 
@@ -347,7 +346,8 @@ def test_reply_in_one_byte_segments_decodes(markov_server):
     local.truncate_cache(2)
     assert remote.extend([0]) == local.extend([0])
     remote.reset()
-    assert remote.consumed_len == 0
+    local.reset()
+    assert remote.extend([1, 2]) == local.extend([1, 2])
     remote.close()
 
 
@@ -361,6 +361,38 @@ def test_reply_cut_by_eof_is_protocol_error(reply):
     remote = ExternalOracle(endpoint)
     with pytest.raises(OracleProtocolError, match="cut short"):
         remote.extend([4])
+    remote.close()
+
+
+def _info_line(fields) -> bytes:
+    return json.dumps({"ok": True, **fields, "at": True}).encode() + b"\n"
+
+
+@pytest.mark.parametrize("fields", [
+    {"vocab_size": "12", "eos": 5},
+    {"vocab_size": 12, "eos": True},
+    {"vocab_size": 7.9, "eos": 3},
+    {"vocab_size": 12, "eos": 3.5},
+    {"vocab_size": 0, "eos": 5},
+    {"vocab_size": 0, "eos": -1},
+    {"vocab_size": 12, "eos": 12},
+    {"vocab_size": 12, "eos": -2},
+    {"vocab_size": None, "eos": -1},
+    {"eos": -1},
+    {"vocab_size": 12},
+], ids=repr)
+def test_bad_info_reply_is_refused_and_the_socket_closed(fields):
+    endpoint, _, client_closed = one_connection_server([_info_line(fields)])
+    with pytest.raises(OracleProtocolError, match="^bad info reply: "):
+        ExternalOracle(endpoint)
+    assert client_closed.wait(5)
+
+
+@pytest.mark.parametrize("vocab_size, eos, expected_eos", [(1, -1, None), (1, 0, 0), (12, 11, 11)])
+def test_info_reply_at_its_bounds_is_read(vocab_size, eos, expected_eos):
+    endpoint, _, _ = one_connection_server([_info_line({"vocab_size": vocab_size, "eos": eos})])
+    remote = ExternalOracle(endpoint)
+    assert (remote.vocab_size, remote.eos) == (vocab_size, expected_eos)
     remote.close()
 
 
@@ -512,7 +544,6 @@ def test_truncate_cache_is_checked_locally_and_sent_lazily(markov_server):
         remote.truncate_cache(-1)
     remote.truncate_cache(2)
     remote.truncate_cache(1)  # the later position wins
-    assert remote.consumed_len == 1
     local.truncate_cache(1)
     assert remote.extend([6, 0]) == local.extend([6, 0])
     remote.truncate_cache(2)
@@ -531,7 +562,6 @@ def test_truncate_cache_refuses_non_int_positions(markov_server, position):
     with pytest.raises(ValueError):
         remote.truncate_cache(position)
     # nothing is pending: the next extend continues the untruncated prefix
-    assert type(remote.consumed_len) is int and remote.consumed_len == 3
     assert remote.extend([6, 0]) == local.extend([6, 0])
     remote.close()
 
@@ -600,25 +630,48 @@ def test_extend_truncate_reset_scripts_match_in_process(markov_server, script):
     server, corpus = markov_server
     remote = ExternalOracle(server.address)
     local = MarkovOracle(corpus, order=2, seed=5)
+    consumed = 0  # tracked here, as the decoder tracks it
     try:
         for op, arg in script:
             if op == "extend":
                 assert remote.extend(arg) == local.extend(arg)
+                consumed += len(arg)
             elif op == "reset":
                 remote.reset()
                 local.reset()
+                consumed = 0
             else:
                 # one past the end is out of range for both
-                length = arg % (local.consumed_len + 2)
-                if length > local.consumed_len:
+                length = arg % (consumed + 2)
+                if length > consumed:
                     with pytest.raises(ValueError):
                         remote.truncate_cache(length)
                 else:
                     remote.truncate_cache(length)
                     local.truncate_cache(length)
-            assert remote.consumed_len == local.consumed_len
+                    consumed = length
+        # a rollback that ended the script is checked by the next extend
+        assert remote.extend([0]) == local.extend([0])
     finally:
         remote.close()
+
+
+def _oracle():
+    """A fresh oracle that has consumed [1, 2, 3]. Its order is above any
+    length a test line leaves it at, so a probe's predictions tell apart
+    both the length and the tokens of what it has consumed."""
+    oracle = MarkovOracle([i % 7 for i in range(50)], order=16, seed=5)
+    oracle.extend([1, 2, 3])
+    return oracle
+
+
+def _probe(oracle) -> list[int]:
+    """The predictions of one more extend: the test's view of the oracle's
+    state, which the oracle contract has no other way to read."""
+    return oracle.extend([0] * 8)
+
+
+UNCHANGED = _probe(_oracle())
 
 
 _JSON = st.recursive(
@@ -637,16 +690,14 @@ _JSON = st.recursive(
     )
 )
 def test_handle_request_answers_every_request(request):
-    corpus = [i % 7 for i in range(50)]
-    oracle = MarkovOracle(corpus, order=2, seed=5)
-    oracle.extend([1, 2, 3])
+    oracle = _oracle()
     line = _handle_request(oracle, json.dumps(request).encode(), 7, oracle.truncate_cache)
     reply = json.loads(line)
     assert isinstance(reply["ok"], bool)
     assert line == json.dumps(reply).encode() + b"\n"  # every reply line is json.dumps's
     if not reply["ok"]:
         assert isinstance(reply["error"], str)
-        assert oracle.consumed_len == 3  # a refused request changes nothing
+        assert _probe(oracle) == UNCHANGED  # a refused request changes nothing
     elif request["op"] == "extend":
         assert all(0 <= p < 7 for p in reply["predictions"])
 
@@ -685,14 +736,12 @@ def test_a_failing_oracle_factory_is_blamed_on_the_server(monkeypatch):
 
 
 def _answers(lines):
-    """The reply to each line, and the consumed length it leaves, from a
-    fresh oracle that has consumed 3 tokens."""
-    corpus = [i % 7 for i in range(50)]
+    """The reply to each line, and the probe of the oracle it leaves, from a
+    fresh `_oracle()`."""
     answers = []
     for line in lines:
-        oracle = MarkovOracle(corpus, order=2, seed=5)
-        oracle.extend([1, 2, 3])
-        answers.append((_handle_request(oracle, line, 7, oracle.truncate_cache), oracle.consumed_len))
+        oracle = _oracle()
+        answers.append((_handle_request(oracle, line, 7, oracle.truncate_cache), _probe(oracle)))
     return answers
 
 
@@ -744,9 +793,9 @@ def test_extend_ids_the_fast_pattern_refuses_take_the_json_path(ids, at):
     first, second = _answers([canonical, compact])
     if any(len(s) > 1 and s[0] == "0" for s in ids + [at or ""]):
         # json's message names a column, which differs between the spellings
-        for reply, consumed in (first, second):
+        for reply, probe in (first, second):
             assert reply.startswith(b'{"ok": false, "error": "malformed json: ')
-            assert consumed == 3
+            assert probe == UNCHANGED
     else:
         assert first == second
 
@@ -840,7 +889,11 @@ def test_the_lines_each_end_writes_take_the_other_ends_fast_path(markov_server):
 @pytest.mark.parametrize("separator", [", ", ","])
 def test_an_at_out_of_range_is_refused_in_the_same_words_on_either_path(at, separator):
     line = ('{"op": "extend", "tokens": [4], "at": %s}\n' % at).replace(", ", separator).encode()
-    [(reply, consumed)] = _answers([line])
-    expected = {"ok": False, "error": f"'at' must be an int in [0, 3], got {json.loads(at)!r}"}
-    assert reply == json.dumps(expected).encode() + b"\n"
-    assert consumed == 3
+    [(reply, probe)] = _answers([line])
+    value = json.loads(at)
+    if type(value) is int:  # the oracle's own refusal
+        error = f"ValueError: cannot truncate cache of 3 to {value}"
+    else:  # the server's, before the oracle is touched
+        error = f"'at' must be an int, got {value!r}"
+    assert reply == json.dumps({"ok": False, "error": error}).encode() + b"\n"
+    assert probe == UNCHANGED
