@@ -20,7 +20,6 @@ from .decoding import (
 from .metrics import (
     LosslessnessError,
     RunMetrics,
-    SweepRow,
     SweepTable,
     compute_metrics,
     sim_total_time,
@@ -65,7 +64,6 @@ __all__ = [
     "write_trace",
     "LosslessnessError",
     "RunMetrics",
-    "SweepRow",
     "SweepTable",
     "compute_metrics",
     "sim_total_time",

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from importlib import resources
-from pathlib import Path
 
-__all__ = ["bundled_names", "bundled_bytes", "bundled_path", "resolve_corpus_ref"]
+__all__ = ["bundled_names", "bundled_bytes", "resolve_corpus_ref"]
 
 _PREFIX = "bundled:"
 
@@ -23,14 +22,6 @@ def bundled_bytes(name: str) -> bytes:
     if not entry.is_file():
         raise FileNotFoundError(f"no bundled file {name!r}; available: {bundled_names()}")
     return entry.read_bytes()
-
-
-def bundled_path(name: str) -> Path:
-    # Packages are installed as plain directories here, so a real path exists.
-    entry = _data_root() / name
-    if not entry.is_file():
-        raise FileNotFoundError(f"no bundled file {name!r}; available: {bundled_names()}")
-    return Path(str(entry))
 
 
 def resolve_corpus_ref(ref: str) -> bytes:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -49,7 +48,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_LOSSLESSNESS = 2
 
-# Values one sweep grid may hold; each is at least one decode per prompt.
+# Values one sweep grid may hold; each is at least one decode.
 MAX_GRID_VALUES = 1024
 
 
@@ -299,20 +298,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("empty sweep grid")
     cfg = load_config(args.config, args)
     prompt, new_oracle, oracle_json, _ = _build_run(cfg)
-    table = sweep(new_oracle, [prompt], n_grid, k_grid, cfg.decode, cfg.cost_model)
+    table = sweep(new_oracle, prompt, n_grid, k_grid, cfg.decode, cfg.cost_model)
     table.config.update(oracle=oracle_json, seed=cfg.seed)
     out_csv = Path(args.out)
-    sidecar = out_csv.with_suffix(out_csv.suffix + ".config.json")
-    write_sweep_csv(table, out_csv, sidecar)
-    # a cell without a metric is all nan; if every cell is, say why once per reason
-    if all(math.isnan(row.alpha) for row in table.rows):
-        for reason in dict.fromkeys(e for row in table.rows for e in row.errors):
+    sidecar = write_sweep_csv(table, out_csv)
+    # if every cell failed, say why once per reason
+    if all(m is None for m in table.cells.values()):
+        for reason in dict.fromkeys(table.config["errors"].values()):
             print(f"error: {reason}", file=sys.stderr)
         return EXIT_ERROR
     if args.json:
-        print(json.dumps({"rows": len(table.rows), "csv": str(out_csv), "sidecar": str(sidecar)}))
+        print(json.dumps({"rows": len(table.cells), "csv": str(out_csv), "sidecar": str(sidecar)}))
     else:
-        print(f"wrote {len(table.rows)} rows to {out_csv} (config: {sidecar})")
+        print(f"wrote {len(table.cells)} rows to {out_csv} (config: {sidecar})")
     return EXIT_OK
 
 

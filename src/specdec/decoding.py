@@ -41,6 +41,7 @@ import os
 import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 from pathlib import Path
 
 from .ngram import NgramStore
@@ -117,22 +118,24 @@ class _StepLog(Sequence):
     is last (`eos_last`).
     """
 
-    __slots__ = ("_output", "_drafted", "_levels", "_ends", "_accepted", "_eos_last", "_vb", "_vp")
+    __slots__ = ("_output", "_drafted", "_levels", "_ends", "_accepted", "_eos_last", "_vb", "_vp",
+                 "_starts")
 
     def __init__(self, output: list[int], drafted: list[int], levels: list[int], ends: list[int],
                  accepted: list[int], eos_last: bool, cost_model: CostModel) -> None:
         self._output, self._drafted, self._levels = output, drafted, levels
         self._ends, self._accepted, self._eos_last = ends, accepted, eos_last
         self._vb, self._vp = cost_model.verify_base, cost_model.verify_per_token
+        self._starts: list[int] | None = None  # step i's offset in output; built on an indexed read
 
     def __len__(self) -> int:
         return len(self._accepted)
 
-    def _records(self, start: int, stop: int):
+    def _records(self, start: int, stop: int, o: int = 0):
+        """Steps start to stop, the first of which commits from `output[o]`."""
         output, drafted, levels, ends, accepted = (
             self._output, self._drafted, self._levels, self._ends, self._accepted)
         d0 = ends[start - 1] if start else 0
-        o = start + sum(accepted[:start])
         call_less = len(accepted) - 1 if self._eos_last else -1
         for i in range(start, stop):
             d1, acc = ends[i], accepted[i]
@@ -147,12 +150,14 @@ class _StepLog(Sequence):
 
     def __getitem__(self, index):
         picked = range(len(self))[index]  # IndexError and TypeError as for a list
+        if self._starts is None:
+            self._starts = list(accumulate(self._accepted, lambda o, acc: o + 1 + acc, initial=0))
         if isinstance(picked, int):
-            return next(self._records(picked, picked + 1))
+            return next(self._records(picked, picked + 1, self._starts[picked]))
         if not picked:
             return []
         lo = min(picked)
-        window = list(self._records(lo, max(picked) + 1))
+        window = list(self._records(lo, max(picked) + 1, self._starts[lo]))
         return [window[i - lo] for i in picked]
 
     def __eq__(self, other) -> bool:

@@ -1,5 +1,6 @@
 """Evaluation metrics: draft hit ratio, simulated speed-up, the
-(alpha * K) + 1 acceleration bound, and parameter sweeps over N and K.
+(alpha * K) + 1 acceleration bound, and the N x K sweep of one prompt,
+whose every cell is one decode pair's metrics.
 
 Simulated speed-up is pure cost-model arithmetic over decode traces and is
 fully deterministic. Wall-clock speed-up is measured outside the package,
@@ -9,31 +10,20 @@ by the benchmark in `perfbench/`, and never mixed into these numbers.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
 from .decoding import (
-    DecodeOptions,
-    DecodeResult,
-    baseline_decode,
-    speculative_decode,
-    _atomic_write,
-    _batch_lens,
+    DecodeOptions, DecodeResult, baseline_decode, speculative_decode, _atomic_write, _batch_lens,
 )
 from .oracle import CostModel, DEFAULT_COST_MODEL, simulate_cost
 
 __all__ = [
-    "LosslessnessError",
-    "RunMetrics",
-    "SweepRow",
-    "SweepTable",
-    "theoretical_bound",
-    "sim_total_time",
-    "compute_metrics",
-    "sweep",
-    "write_sweep_csv",
+    "LosslessnessError", "RunMetrics", "SweepTable", "theoretical_bound", "sim_total_time",
+    "compute_metrics", "sweep", "write_sweep_csv",
 ]
+
 
 class LosslessnessError(RuntimeError):
     """Accelerated output diverged from the baseline output. Always a bug."""
@@ -125,109 +115,88 @@ def compute_metrics(
     )
 
 
-@dataclass
-class SweepRow:
-    n: int
-    k: int
-    alpha: float
-    mean_committed: float
-    speedup_sim: float
-    bound: float
-    steps: float
-    output_len: float
-    errors: list[str] = field(default_factory=list)
-
-
-# a row's CSV columns: its fields bar the errors, which the sidecar holds
-_CSV_COLUMNS = [f.name for f in fields(SweepRow) if f.name != "errors"]
-SWEEP_CSV_HEADER = ",".join(_CSV_COLUMNS)
+# The CSV's columns: the grid point, then each metric under its field name,
+# as `run --json` prints it under "metrics"
+_METRICS = [f.name for f in fields(RunMetrics)]
+SWEEP_CSV_HEADER = ",".join(["n", "k", *_METRICS])
 
 
 @dataclass
 class SweepTable:
-    rows: list[SweepRow]
+    cells: dict[tuple[int, int], RunMetrics | None]  # None where the cell failed
     config: dict
 
     def to_csv(self) -> str:
         lines = [SWEEP_CSV_HEADER]
-        for r in self.rows:
-            values = (getattr(r, name) for name in _CSV_COLUMNS)
+        for (n, k), m in self.cells.items():
+            values = (n, k, *(astuple(m) if m is not None else [float("nan")] * len(_METRICS)))
             lines.append(",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in values))
         return "\n".join(lines) + "\n"
 
 
 def sweep(
     new_oracle: Callable[[], object],
-    prompt_set: list[list[int]],
+    prompt: list[int],
     n_grid: list[int],
     k_grid: list[int],
     options: DecodeOptions,
     cost_model: CostModel | None = None,
 ) -> SweepTable:
-    """Run the accelerated decoder for every (n, k) grid point and prompt
-    against one baseline decode per prompt, each decode on a fresh oracle
-    from `new_oracle()`; cell values are arithmetic means across prompts.
-    Per-run failures, a factory that raises included, are recorded in the
-    row, and under `config["errors"]` by cell ("n=N,k=K") when there are
-    any, and do not abort the sweep; a `LosslessnessError` is an engine bug,
-    not a failed run, and propagates. Rows are ordered n then k ascending;
-    cells are independent, so completion order can never change the table.
+    """Decode `prompt` with the accelerated decoder at every (n, k) grid
+    point, each decode on a fresh oracle from `new_oracle()`, against one
+    baseline decode. A cell holds its pair's `compute_metrics`, in n-then-k
+    order, or None if a decode failed (a factory that raises included); its
+    message is under `config["errors"]` by cell ("n=N,k=K"). A failed
+    baseline is not retried: its message is every cell's. A
+    `LosslessnessError` is an engine bug, not a failed run, and propagates.
     The config does not describe the oracle; the caller adds that.
     """
+    n_grid, k_grid = sorted(set(n_grid)), sorted(set(k_grid))
     if not n_grid or not k_grid:
         raise ValueError("n_grid and k_grid must be non-empty")
-    for n in set(n_grid):
+    for n in n_grid:
         replace(options, n_max=n).validate()
-    for k in set(k_grid):
+    for k in k_grid:
         replace(options, k_draft=k).validate()
-    if not prompt_set:
-        raise ValueError("prompt_set must be non-empty")
+    if not prompt:
+        raise ValueError("prompt must be non-empty")
     cm = cost_model or DEFAULT_COST_MODEL
-    base_opts = replace(options, n_max=min(n_grid), k_draft=min(k_grid))
-    bases: list[DecodeResult | str] = []
-    for idx, prompt in enumerate(prompt_set):
-        try:
-            bases.append(_decode_fresh(baseline_decode, new_oracle, prompt, base_opts, cm))
-        except Exception as exc:  # noqa: BLE001 - recorded in every cell
-            bases.append(f"prompt {idx}: {type(exc).__name__}: {exc}")
-    rows: list[SweepRow] = []
-    for n in sorted(set(n_grid)):
-        for k in sorted(set(k_grid)):
+    base_opts = replace(options, n_max=n_grid[0], k_draft=k_grid[0])
+    base = base_error = None
+    try:
+        base = _decode_fresh(baseline_decode, new_oracle, prompt, base_opts, cm)
+    except Exception as exc:  # noqa: BLE001 - recorded in every cell
+        base_error = f"{type(exc).__name__}: {exc}"
+    cells, errors = {}, {}
+    for n in n_grid:
+        for k in k_grid:
+            cells[n, k] = None
+            if base is None:
+                errors[f"n={n},k={k}"] = base_error
+                continue
             opts = replace(options, n_max=n, k_draft=k)
-            metrics: list[RunMetrics] = []
-            errors: list[str] = []
-            for idx, (prompt, base) in enumerate(zip(prompt_set, bases)):
-                if isinstance(base, str):
-                    errors.append(base)
-                    continue
-                try:
-                    accel = _decode_fresh(speculative_decode, new_oracle, prompt, opts, cm)
-                except Exception as exc:  # noqa: BLE001 - recorded per cell
-                    errors.append(f"prompt {idx}: {type(exc).__name__}: {exc}")
-                    continue
-                metrics.append(compute_metrics(accel, base, cm))
-            def mean(name: str) -> float:
-                vals = [getattr(m, name) for m in metrics]
-                return sum(vals) / len(vals) if vals else float("nan")
-            rows.append(SweepRow(
-                n=n, k=k, alpha=mean("alpha"), mean_committed=mean("mean_committed_per_step"),
-                speedup_sim=mean("speedup_sim"), bound=mean("theoretical_bound"),
-                steps=mean("steps"), output_len=mean("output_len"), errors=errors,
-            ))
+            try:
+                accel = _decode_fresh(speculative_decode, new_oracle, prompt, opts, cm)
+            except Exception as exc:  # noqa: BLE001 - recorded per cell
+                errors[f"n={n},k={k}"] = f"{type(exc).__name__}: {exc}"
+                continue
+            cells[n, k] = compute_metrics(accel, base, cm)
     config = {
         "cost_model": cm.to_json(),
-        "n_grid": sorted(set(n_grid)),
-        "k_grid": sorted(set(k_grid)),
-        "prompt_lens": [len(p) for p in prompt_set],
+        "n_grid": n_grid,
+        "k_grid": k_grid,
+        "prompt_len": len(prompt),
         **{key: value for key, value in asdict(options).items() if key not in ("n_max", "k_draft")},
-        "aggregation": "arithmetic_mean",
     }
-    errors = {f"n={r.n},k={r.k}": r.errors for r in rows if r.errors}
     if errors:
         config["errors"] = errors
-    return SweepTable(rows=rows, config=config)
+    return SweepTable(cells=cells, config=config)
 
 
-def write_sweep_csv(table: SweepTable, csv_path: str | Path, sidecar_path: str | Path) -> None:
+def write_sweep_csv(table: SweepTable, csv_path: str | Path) -> Path:
+    """Write the table's CSV at `csv_path` and its config beside it, at
+    `<csv_path>.config.json`; return the config's path."""
+    sidecar = Path(f"{csv_path}.config.json")
     _atomic_write(csv_path, table.to_csv())
-    _atomic_write(sidecar_path, json.dumps(table.config, sort_keys=True, indent=2) + "\n")
+    _atomic_write(sidecar, json.dumps(table.config, sort_keys=True, indent=2) + "\n")
+    return sidecar

@@ -11,7 +11,8 @@ requests get an error reply and the connection stays open; a request line
 longer than MAX_LINE_BYTES gets an error reply and the connection is
 closed. At most MAX_CONNECTIONS connections are served at once; one over
 the cap gets an error line and is closed without a thread being started
-for it.
+for it. A connection holds at most MAX_CONSUMED_TOKENS tokens: an `extend`
+that would take it past them gets an error reply and changes nothing.
 
 A server answers two ops, `extend` and `info`. An `extend` may carry
 `"at": L`: the oracle is truncated to L consumed tokens and then extended,
@@ -34,7 +35,7 @@ from typing import Callable
 
 log = logging.getLogger("specdec.server")
 
-__all__ = ["OracleServer", "MAX_LINE_BYTES", "MAX_CONNECTIONS"]
+__all__ = ["OracleServer", "MAX_LINE_BYTES", "MAX_CONNECTIONS", "MAX_CONSUMED_TOKENS"]
 
 
 # Bounds a line in both directions: the server refuses a longer request and
@@ -50,6 +51,11 @@ MAX_LINE_BYTES = 1 << 20
 # Each served connection holds a thread and an oracle instance; the cap
 # bounds both. Read when a server is built.
 MAX_CONNECTIONS = 64
+
+# Bounds the tokens one connection's oracle holds, so that a client cannot
+# grow its memory one line at a time. 1 Mi tokens is some 1,700 times the
+# demo prefill. Read when a connection opens.
+MAX_CONSUMED_TOKENS = 1 << 20
 
 
 # The two hot lines, each written by one peer and read by the other without
@@ -73,24 +79,35 @@ def _line(reply: dict) -> bytes:
     return json.dumps(reply).encode("utf-8") + b"\n"
 
 
-def _handle_request(oracle, payload: bytes, vocab_size: int, truncate) -> bytes:
-    """The reply line to one request line; `vocab_size` and `truncate` (the
-    oracle's `truncate_cache`) are read from the oracle once per
-    connection, as a wrapped oracle forwards each lookup at some cost."""
+class _Connection:
+    """One connection's oracle, with its `vocab_size` and `truncate_cache`
+    read once, as a wrapped oracle forwards each lookup at some cost, and
+    the count of tokens it holds."""
+
+    __slots__ = ("oracle", "vocab_size", "truncate", "held", "cap")
+
+    def __init__(self, oracle) -> None:
+        self.oracle, self.vocab_size, self.truncate = oracle, oracle.vocab_size, oracle.truncate_cache
+        self.held, self.cap = 0, MAX_CONSUMED_TOKENS
+
+
+def _handle_request(conn: _Connection, payload: bytes) -> bytes:
+    """The reply line to one request line."""
     try:
         fast = _EXTEND_REQUEST_RE.fullmatch(payload)
         if fast is not None:
             tokens = list(map(int, fast[1].split(b", ")))
-            if max(tokens) < vocab_size:  # else the json path words the refusal
+            if max(tokens) < conn.vocab_size:  # else the json path words the refusal
                 at = fast[2]
-                return _extend(oracle, tokens, None if at is None else int(at), truncate)
-        return _handle_json(oracle, payload, vocab_size, truncate)
+                return _extend(conn, tokens, None if at is None else int(at))
+        return _handle_json(conn, payload)
     except Exception as exc:  # noqa: BLE001 - report, keep the connection alive
         return _line({"ok": False, "error": f"{type(exc).__name__}: {exc}"})
 
 
-def _handle_json(oracle, payload: bytes, vocab_size: int, truncate) -> bytes:
+def _handle_json(conn: _Connection, payload: bytes) -> bytes:
     """The reply line to a request line that the fast pattern does not admit."""
+    vocab_size = conn.vocab_size
     try:
         req = json.loads(payload)
     except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError on non-UTF-8
@@ -113,21 +130,28 @@ def _handle_json(oracle, payload: bytes, vocab_size: int, truncate) -> bytes:
         at = req.get("at")
         if at is not None and type(at) is not int:
             return _line({"ok": False, "error": f"'at' must be an int, got {at!r}"})
-        return _extend(oracle, tokens, at, truncate)
+        return _extend(conn, tokens, at)
     if op == "info":
-        eos = oracle.eos if oracle.eos is not None else -1
+        eos = conn.oracle.eos if conn.oracle.eos is not None else -1
         return _line({"ok": True, "vocab_size": vocab_size, "eos": eos, "at": True})
     return _line({"ok": False, "error": f"unknown op {op!r}"})
 
 
-def _extend(oracle, tokens: list[int], at: int | None, truncate) -> bytes:
+def _extend(conn: _Connection, tokens: list[int], at: int | None) -> bytes:
     """The reply to an `extend` of checked `tokens`, after truncating to
-    `at` unless it is None. The oracle contract has `truncate` refuse a
+    `at` unless it is None. One that would hold more than the connection's
+    cap is refused first. The oracle contract has `truncate` refuse a
     position out of range with ValueError before any change, which
-    `_handle_request` words as the error reply."""
+    `_handle_request` words as the error reply. The count is set before
+    the oracle extends, so one that fails counts high, never low."""
+    held = (conn.held if at is None else at) + len(tokens)
+    if held > conn.cap:
+        error = f"extend would hold {held} tokens, over the cap of {conn.cap}"
+        return _line({"ok": False, "error": error})
     if at is not None:
-        truncate(at)
-    return (_EXTEND_REPLY % ", ".join(map(repr, oracle.extend(tokens)))).encode()
+        conn.truncate(at)
+    conn.held = held
+    return (_EXTEND_REPLY % ", ".join(map(repr, conn.oracle.extend(tokens)))).encode()
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -140,7 +164,7 @@ class _Handler(socketserver.StreamRequestHandler):
             send(_line({"ok": False, "error": f"oracle factory failed: {type(exc).__name__}: {exc}"}))
             return
         log.info("connection from %s:%s", *self.client_address)
-        vocab_size, truncate = oracle.vocab_size, oracle.truncate_cache
+        conn = _Connection(oracle)
         while True:
             line = self.rfile.readline(MAX_LINE_BYTES + 1)
             if not line:
@@ -148,7 +172,7 @@ class _Handler(socketserver.StreamRequestHandler):
             if len(line) > MAX_LINE_BYTES:
                 send(_line({"ok": False, "error": f"request line over {MAX_LINE_BYTES} bytes"}))
                 break
-            send(_handle_request(oracle, line, vocab_size, truncate))
+            send(_handle_request(conn, line))
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):

@@ -210,8 +210,8 @@ def test_criterion_8_speedup_plateau():
     with criterion(8, "speedup rises in K then plateaus"):
         prompt, new_oracle = bundled_replay()
         opts = DecodeOptions(n_max=5, max_new_tokens=1000)
-        table = sweep(new_oracle, [prompt], [5], list(range(1, 11)), opts, CostModel())
-        speedups = [row.speedup_sim for row in table.rows]
+        table = sweep(new_oracle, prompt, [5], list(range(1, 11)), opts, CostModel())
+        speedups = [m.speedup_sim for m in table.cells.values()]
         assert len(speedups) == 10
         k_star = max(range(10), key=lambda i: speedups[i])
         for i in range(k_star):

@@ -6,20 +6,22 @@ import shlex
 import threading
 from contextlib import contextmanager
 from dataclasses import fields
+from importlib import resources
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdec.bundled import bundled_bytes, bundled_path
+from specdec.bundled import bundled_bytes
 from specdec.cli import _DEFAULTS, ConfigError, build_parser, load_config, main
 from specdec.decoding import DecodeOptions, DecodeResult, DecodeTotals
+from specdec.metrics import RunMetrics
 from specdec.oracle import DEFAULT_COST_MODEL, CostModel, ExternalOracle, MarkovOracle
 from specdec.server import OracleServer
 
 
-DEMO = str(bundled_path("demo_run.json"))
+DEMO = str(resources.files("specdec") / "data" / "demo_run.json")
 
 
 def run_cli(capsys, *argv):
@@ -328,9 +330,23 @@ def test_sweep_demo_grid(tmp_path, capsys):
     )
     assert code == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "n,k,alpha,mean_committed,speedup_sim,bound,steps,output_len"
+    assert lines[0] == "n,k,alpha,mean_committed_per_step,speedup_sim,theoretical_bound,steps,output_len"
     assert len(lines) == 5
     assert (tmp_path / "sweep.csv.config.json").exists()
+
+
+def test_run_json_metrics_sweep_csv_columns_and_run_metrics_fields_agree(tmp_path, capsys):
+    names = [f.name for f in fields(RunMetrics)]
+    code, out, _ = run_cli(capsys, "run", "--config", DEMO, "--max-new-tokens", "16", "--json")
+    assert code == 0
+    assert list(json.loads(out)["metrics"]) == sorted(names)  # printed with sort_keys
+    csv = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--config", DEMO, "--n-grid", "2", "--k-grid", "1",
+        "--max-new-tokens", "16", "--out", str(csv),
+    )
+    assert code == 0
+    assert csv.read_text().splitlines()[0].split(",") == ["n", "k", *names]
 
 
 def test_sweep_demo_full_grid_within_budget(tmp_path, capsys):
@@ -427,7 +443,7 @@ def test_sweep_with_every_cell_failed_exits_1(tmp_path, capsys):
     assert (code, stdout) == (1, "")
     # the baseline failed, so both cells carry the same reason; it is printed once
     [line] = err.splitlines()
-    assert line.startswith("error: prompt 0: OracleConnectError: cannot connect to 127.0.0.1:1")
+    assert line.startswith("error: OracleConnectError: cannot connect to 127.0.0.1:1")
     assert out.read_text().splitlines()[1:] == ["2,1,nan,nan,nan,nan,nan,nan", "2,2,nan,nan,nan,nan,nan,nan"]
     assert (tmp_path / "x.csv.config.json").exists()
 
@@ -453,7 +469,7 @@ def test_sweep_with_some_cells_failed_exits_0(tmp_path, capsys, monkeypatch):
     ok, failed = out.read_text().splitlines()[1:]
     assert "nan" not in ok and failed == "2,2,nan,nan,nan,nan,nan,nan"
     sidecar = json.loads((tmp_path / "x.csv.config.json").read_text())
-    assert sidecar["errors"] == {"n=2,k=2": ["prompt 0: RuntimeError: k2 broke"]}
+    assert sidecar["errors"] == {"n=2,k=2": "RuntimeError: k2 broke"}
 
 
 def test_sweep_losslessness_violation_exits_2(tmp_path, capsys, monkeypatch):

@@ -550,9 +550,10 @@ def test_step_log_reads_as_the_records_it_logged(seed, use_markov, budget, k_dra
             expected += simulate_cost(cm, "verify", s.verify_batch_len)
     assert sim_total_time(res, cm) == expected  # bit for bit
     n = len(records)
+    assert [steps[i] for i in range(n)] == records
     assert [steps[i] for i in range(-n, 0)] == records
     for cut in (slice(None), slice(1, None), slice(-3, None), slice(None, None, -2),
-                slice(n // 2, 0, -3), slice(5, 2)):
+                slice(n // 2, 0, -3), slice(-n // 2, -1), slice(5, 2)):
         assert steps[cut] == records[cut]
     assert steps == records and records == steps
     with pytest.raises(IndexError):

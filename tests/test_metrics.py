@@ -1,6 +1,6 @@
+import itertools
 import json
-import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -13,7 +13,7 @@ from specdec.metrics import (
     theoretical_bound,
     write_sweep_csv,
     SWEEP_CSV_HEADER,
-    SweepRow,
+    RunMetrics,
     SweepTable,
 )
 from specdec.oracle import CostModel, ExternalOracle, ReplayOracle
@@ -130,39 +130,44 @@ def test_metrics_recomputable_from_trace_fields():
 def test_sweep_shapes_and_k1_bound():
     prompt, new_oracle = periodic_replay([4, 5, 6, 7])
     opts = DecodeOptions(max_new_tokens=24)
-    table = sweep(new_oracle, [prompt], [2, 3], [1], opts, FLAT)
-    assert [(r.n, r.k) for r in table.rows] == [(2, 1), (3, 1)]
-    for row in table.rows:
-        assert 1.0 - 1e-9 <= row.speedup_sim <= 2.0 + 1e-9
-        assert not row.errors
-    assert table.config["aggregation"] == "arithmetic_mean"
+    table = sweep(new_oracle, prompt, [2, 3], [1], opts, FLAT)
+    assert list(table.cells) == [(2, 1), (3, 1)]
+    for m in table.cells.values():
+        assert 1.0 - 1e-9 <= m.speedup_sim <= 2.0 + 1e-9
+    assert "errors" not in table.config
 
 
 def test_sweep_row_ordering_and_dedup():
     prompt, new_oracle = periodic_replay([4, 5])
     opts = DecodeOptions(max_new_tokens=8)
-    table = sweep(new_oracle, [prompt], [3, 2, 3], [2, 1], opts, FLAT)
-    assert [(r.n, r.k) for r in table.rows] == [(2, 1), (2, 2), (3, 1), (3, 2)]
+    table = sweep(new_oracle, prompt, [3, 2, 3], [2, 1], opts, FLAT)
+    assert list(table.cells) == [(2, 1), (2, 2), (3, 1), (3, 2)]
 
 
 def test_sweep_validates_grids():
     prompt, new_oracle = periodic_replay([4, 5])
     opts = DecodeOptions(max_new_tokens=4)
     with pytest.raises(ValueError):
-        sweep(new_oracle, [prompt], [], [1], opts)
+        sweep(new_oracle, prompt, [], [1], opts)
     with pytest.raises(ValueError):
-        sweep(new_oracle, [prompt], [2], [0], opts)
-    with pytest.raises(ValueError):
-        sweep(new_oracle, [], [2], [1], opts)
+        sweep(new_oracle, prompt, [2], [0], opts)
+
+
+def test_sweep_refuses_an_empty_prompt_before_any_decode():
+    def unbuilt():
+        raise AssertionError("an oracle was built for an empty prompt")
+
+    with pytest.raises(ValueError, match="prompt must be non-empty"):
+        sweep(unbuilt, [], [2], [1], DecodeOptions(max_new_tokens=4))
 
 
 def test_sweep_records_errors_without_aborting():
     bad = lambda: ExternalOracle("127.0.0.1:1")  # nothing listens
     opts = DecodeOptions(max_new_tokens=4)
-    table = sweep(bad, [[1, 2]], [2], [1], opts, FLAT)
-    assert len(table.rows) == 1
-    assert table.rows[0].errors
-    assert math.isnan(table.rows[0].speedup_sim)
+    table = sweep(bad, [1, 2], [2], [1], opts, FLAT)
+    assert table.cells == {(2, 1): None}
+    assert list(table.config["errors"]) == ["n=2,k=1"]
+    assert table.to_csv().splitlines()[1] == "2,1,nan,nan,nan,nan,nan,nan"
 
 
 def test_sweep_runs_one_baseline_per_prompt(monkeypatch):
@@ -176,75 +181,94 @@ def test_sweep_runs_one_baseline_per_prompt(monkeypatch):
 
     monkeypatch.setattr(metrics_mod, "baseline_decode", counting_baseline)
     prompt, new_oracle = periodic_replay([4, 5, 6])
-    prompts = [prompt, list(prompt)]
-    table = sweep(new_oracle, prompts, [2, 3], [1, 2], DecodeOptions(max_new_tokens=12), FLAT)
-    assert len(calls) == len(prompts)
-    assert len(table.rows) == 4 and not any(r.errors for r in table.rows)
+    table = sweep(new_oracle, prompt, [2, 3], [1, 2], DecodeOptions(max_new_tokens=12), FLAT)
+    assert calls == [prompt]
+    assert len(table.cells) == 4 and None not in table.cells.values()
 
 
 def test_sweep_baseline_failure_recorded_in_every_cell():
-    bad = lambda: ExternalOracle("127.0.0.1:1")  # nothing listens
-    table = sweep(bad, [[1, 2]], [2, 3], [1, 2], DecodeOptions(max_new_tokens=4), FLAT)
-    errors = [r.errors for r in table.rows]
-    assert len(errors) == 4 and len(errors[0]) == 1 and errors[0][0].startswith("prompt 0: ")
-    assert all(e == errors[0] for e in errors)
+    built = []
+
+    def bad():
+        built.append(1)
+        return ExternalOracle("127.0.0.1:1")  # nothing listens
+
+    table = sweep(bad, [1, 2], [2, 3], [1, 2], DecodeOptions(max_new_tokens=4), FLAT)
+    assert len(built) == 1  # the baseline's; it is not retried, and no cell decodes without it
+    assert list(table.cells.values()) == [None] * 4
+    errors = table.config["errors"]
+    assert list(errors) == ["n=2,k=1", "n=2,k=2", "n=3,k=1", "n=3,k=2"]
+    assert errors["n=2,k=1"].startswith("OracleConnectError: cannot connect to 127.0.0.1:1")
+    assert set(errors.values()) == {errors["n=2,k=1"]}
 
 
 def test_sweep_csv_output(tmp_path):
     prompt, new_oracle = periodic_replay([4, 5, 6])
     opts = DecodeOptions(max_new_tokens=12)
-    table = sweep(new_oracle, [prompt], [2], [1, 2], opts, FLAT)
+    table = sweep(new_oracle, prompt, [2], [1, 2], opts, FLAT)
     csv_path = tmp_path / "sweep.csv"
-    write_sweep_csv(table, csv_path, tmp_path / "sweep.json")
+    sidecar_path = write_sweep_csv(table, csv_path)
+    assert sidecar_path == tmp_path / "sweep.csv.config.json"
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == SWEEP_CSV_HEADER
     assert len(lines) == 3
-    sidecar = json.loads((tmp_path / "sweep.json").read_text())
+    sidecar = json.loads(sidecar_path.read_text())
     assert sidecar["n_grid"] == [2]
+    assert sidecar["prompt_len"] == len(prompt)
     assert "oracle" not in sidecar  # the caller describes its oracle (the CLI does)
     assert "errors" not in sidecar  # no cell failed
 
 
-def test_sweep_csv_writes_the_grid_point_as_ints_and_means_to_10_digits():
-    row = SweepRow(n=2, k=3, alpha=1 / 3, mean_committed=2.0, speedup_sim=1.23456789012,
-                   bound=1.5, steps=7.0, output_len=12.0, errors=["not a column"])
-    assert SweepTable(rows=[row], config={}).to_csv() == (
-        "n,k,alpha,mean_committed,speedup_sim,bound,steps,output_len\n"
+def test_sweep_csv_writes_the_grid_point_as_ints_and_metrics_to_10_digits():
+    m = RunMetrics(alpha=1 / 3, mean_committed_per_step=2.0, speedup_sim=1.23456789012,
+                   theoretical_bound=1.5, steps=7, output_len=12)
+    assert SweepTable(cells={(2, 3): m, (2, 4): None}, config={}).to_csv() == (
+        "n,k,alpha,mean_committed_per_step,speedup_sim,theoretical_bound,steps,output_len\n"
         "2,3,0.3333333333,2,1.23456789,1.5,7,12\n"
+        "2,4,nan,nan,nan,nan,nan,nan\n"
     )
 
 
 def test_sweep_sidecar_holds_every_decode_option_bar_the_grid_axes():
     prompt, new_oracle = periodic_replay([4, 5, 6])
     opts = DecodeOptions(max_new_tokens=12, runtime_update=False, fixed_level_only=True)
-    config = sweep(new_oracle, [prompt], [2], [1], opts, FLAT).config
+    config = sweep(new_oracle, prompt, [2], [1], opts, FLAT).config
     options = {k: v for k, v in asdict(opts).items() if k not in ("n_max", "k_draft")}
     assert {k: config[k] for k in options} == options
-    assert set(config) - set(options) == {"cost_model", "n_grid", "k_grid", "prompt_lens", "aggregation"}
+    assert set(config) - set(options) == {"cost_model", "n_grid", "k_grid", "prompt_len"}
 
 
 def test_sweep_sidecar_records_the_errors_of_a_partly_failed_sweep(tmp_path, monkeypatch):
     import specdec.metrics as metrics_mod
 
+    prompt, new_oracle = periodic_replay([4, 5, 6])
+    opts = DecodeOptions(max_new_tokens=12)
+    whole = sweep(new_oracle, prompt, [2], [1, 2], opts, FLAT)
     real = metrics_mod.speculative_decode
 
-    def fails_on_the_second_prompt(oracle, prompt, options, cost_model=None):
-        if prompt[0] == 5:
+    def fails_at_k2(oracle, prompt, options, cost_model=None):
+        if options.k_draft == 2:
             raise RuntimeError(f"k={options.k_draft} broke")
         return real(oracle, prompt, options, cost_model)
 
-    monkeypatch.setattr(metrics_mod, "speculative_decode", fails_on_the_second_prompt)
-    prompt, new_oracle = periodic_replay([4, 5, 6])
-    table = sweep(new_oracle, [prompt, prompt[1:]], [2], [1, 2], DecodeOptions(max_new_tokens=12), FLAT)
-    csv_path, sidecar_path = tmp_path / "sweep.csv", tmp_path / "sweep.json"
-    write_sweep_csv(table, csv_path, sidecar_path)
-    assert json.loads(sidecar_path.read_text())["errors"] == {
-        "n=2,k=1": ["prompt 1: RuntimeError: k=1 broke"],
-        "n=2,k=2": ["prompt 1: RuntimeError: k=2 broke"],
-    }
-    # each cell's means come from the prompt that decoded; the CSV has no error column
-    alone = sweep(new_oracle, [prompt], [2], [1, 2], DecodeOptions(max_new_tokens=12), FLAT)
-    assert csv_path.read_text() == alone.to_csv()
+    monkeypatch.setattr(metrics_mod, "speculative_decode", fails_at_k2)
+    table = sweep(new_oracle, prompt, [2], [1, 2], opts, FLAT)
+    sidecar_path = write_sweep_csv(table, tmp_path / "sweep.csv")
+    assert json.loads(sidecar_path.read_text())["errors"] == {"n=2,k=2": "RuntimeError: k=2 broke"}
+    # the cell that decoded is unchanged; the failed one is nan; the CSV has no error column
+    header, ok, failed = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert [header, ok] == whole.to_csv().splitlines()[:2]
+    assert failed == "2,2,nan,nan,nan,nan,nan,nan"
+
+
+@pytest.mark.parametrize("fixed, live", list(itertools.product((False, True), repeat=2)))
+def test_each_sweep_cell_is_its_decode_pairs_metrics(fixed, live):
+    prompt, new_oracle = replay((1, 2, 3, 1, 2), (3, 1, 2, 4) * 3 + (1, 2, 4, 3) * 3)
+    opts = DecodeOptions(max_new_tokens=24, fixed_level_only=fixed, runtime_update=live)
+    table = sweep(new_oracle, prompt, [2, 4], [1, 3], opts, FLAT)
+    for (n, k), cell in table.cells.items():
+        pair = run_pair(prompt, new_oracle, replace(opts, n_max=n, k_draft=k), FLAT)
+        assert cell == compute_metrics(*pair, FLAT), (n, k)
 
 
 def test_sweep_honours_fixed_level_only(tmp_path):
@@ -252,14 +276,9 @@ def test_sweep_honours_fixed_level_only(tmp_path):
     prompt, new_oracle = replay((1, 2, 3, 1, 2), (3, 1, 2, 4) * 3 + (1, 2, 4, 3) * 3)
     results = {}
     for fixed in (False, True):
-        opts = DecodeOptions(n_max=4, k_draft=3, max_new_tokens=24, fixed_level_only=fixed)
-        m = compute_metrics(*run_pair(prompt, new_oracle, opts, FLAT), FLAT)
-        table = sweep(new_oracle, [prompt], [4], [3], opts, FLAT)
-        row = table.rows[0]
-        assert (row.alpha, row.mean_committed, row.speedup_sim, row.bound, row.steps) == (
-            m.alpha, m.mean_committed_per_step, m.speedup_sim, m.theoretical_bound, m.steps
-        )
-        write_sweep_csv(table, tmp_path / "sweep.csv", tmp_path / "sweep.json")
-        assert json.loads((tmp_path / "sweep.json").read_text())["fixed_level_only"] is fixed
-        results[fixed] = m.alpha
+        opts = DecodeOptions(max_new_tokens=24, fixed_level_only=fixed)
+        table = sweep(new_oracle, prompt, [4], [3], opts, FLAT)
+        sidecar_path = write_sweep_csv(table, tmp_path / "sweep.csv")
+        assert json.loads(sidecar_path.read_text())["fixed_level_only"] is fixed
+        results[fixed] = table.cells[4, 3].alpha
     assert results[True] != results[False]

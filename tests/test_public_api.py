@@ -13,7 +13,7 @@ PUBLIC = [
     "__version__",
     "DecodeOptions", "DecodeResult", "DecodeTotals", "StepRecord",
     "baseline_decode", "speculative_decode", "write_trace",
-    "LosslessnessError", "RunMetrics", "SweepRow", "SweepTable", "compute_metrics",
+    "LosslessnessError", "RunMetrics", "SweepTable", "compute_metrics",
     "sim_total_time", "sweep", "theoretical_bound", "write_sweep_csv",
     "NgramStore",
     "DEFAULT_COST_MODEL", "CostModel", "ExternalOracle", "MarkovOracle", "OracleConnectError",
@@ -27,7 +27,7 @@ MODULES = ["specdec"] + [f"specdec.{m.name}" for m in pkgutil.iter_modules(specd
 
 
 def test_package_all_is_pinned():
-    assert len(PUBLIC) == 38
+    assert len(PUBLIC) == 37
     assert specdec.__all__ == PUBLIC
 
 

@@ -29,6 +29,7 @@ from specdec.server import (
     _EXTEND_REQUEST_RE,
     MAX_LINE_BYTES,
     OracleServer,
+    _Connection,
     _handle_request,
 )
 from specdec.tokenizer import byte_vocab, encode
@@ -133,7 +134,7 @@ def test_readme_wire_block_requests_are_answered_in_order():
     assert len(shown) >= 3
     oracle = MarkovOracle(list(range(256)), order=1, seed=0)
     for request, reply in shown:
-        line = _handle_request(oracle, request.strip().encode(), oracle.vocab_size, oracle.truncate_cache)
+        line = _handle_request(_Connection(oracle), request.strip().encode())
         got, want = json.loads(line), json.loads(reply)
         assert got["ok"] is True and got.keys() == want.keys(), request
         if "predictions" not in want:
@@ -691,7 +692,7 @@ _JSON = st.recursive(
 )
 def test_handle_request_answers_every_request(request):
     oracle = _oracle()
-    line = _handle_request(oracle, json.dumps(request).encode(), 7, oracle.truncate_cache)
+    line = _handle_request(_Connection(oracle), json.dumps(request).encode())
     reply = json.loads(line)
     assert isinstance(reply["ok"], bool)
     assert line == json.dumps(reply).encode() + b"\n"  # every reply line is json.dumps's
@@ -741,7 +742,7 @@ def _answers(lines):
     answers = []
     for line in lines:
         oracle = _oracle()
-        answers.append((_handle_request(oracle, line, 7, oracle.truncate_cache), _probe(oracle)))
+        answers.append((_handle_request(_Connection(oracle), line), _probe(oracle)))
     return answers
 
 
@@ -897,3 +898,43 @@ def test_an_at_out_of_range_is_refused_in_the_same_words_on_either_path(at, sepa
         error = f"'at' must be an int, got {value!r}"
     assert reply == json.dumps({"ok": False, "error": error}).encode() + b"\n"
     assert probe == UNCHANGED
+
+
+@pytest.mark.parametrize("separator", [", ", ","])  # the fast path, then the json path
+def test_an_extend_past_the_token_cap_is_refused_and_changes_nothing(monkeypatch, separator):
+    monkeypatch.setattr(server_module, "MAX_CONSUMED_TOKENS", 10)  # read when a connection opens
+    corpus = [i % 7 for i in range(50)]
+    server = OracleServer(lambda: MarkovOracle(corpus, order=16, seed=5))
+    server.start_background()
+
+    def extend(tokens, at=None):
+        request = {"op": "extend", "tokens": tokens, **({} if at is None else {"at": at})}
+        line = json.dumps(request, separators=(separator, separator.replace(",", ":"))).encode()
+        assert bool(_EXTEND_REQUEST_RE.fullmatch(line)) is (separator == ", ")
+        return line
+
+    try:
+        replies = raw_exchange(server.address, [
+            extend([1, 2, 3, 4, 5, 6]),
+            extend([1, 2, 3, 4, 5]),  # 11 tokens
+            extend([0, 0, 0, 0]),  # 10, the cap: the refusal above changed nothing
+            extend([0]),  # 11
+            extend([1, 2, 3], at=8),  # 11 from an at, refused before the truncate
+            extend([0], at=9),  # 10: the oracle still holds 10 tokens to truncate
+            extend([1, 2, 3, 4, 5], at=4),  # 9: an at brings the count back under
+            extend([0]),
+            extend([0]),  # 11
+        ])
+    finally:
+        server.shutdown()
+    local = MarkovOracle(corpus, order=16, seed=5)
+    expected = [local.extend([1, 2, 3, 4, 5, 6]), None, local.extend([0, 0, 0, 0]), None, None]
+    local.truncate_cache(9)
+    expected.append(local.extend([0]))
+    local.truncate_cache(4)
+    expected += [local.extend([1, 2, 3, 4, 5]), local.extend([0]), None]
+    for reply, want in zip(replies, expected, strict=True):
+        if want is None:
+            assert reply == {"ok": False, "error": "extend would hold 11 tokens, over the cap of 10"}
+        else:
+            assert reply == {"ok": True, "predictions": want}
