@@ -46,9 +46,7 @@ from .tokenizer import (
     byte_vocab,
     decode,
     encode,
-    load_vocab,
     read_corpus,
-    save_vocab,
     train_bpe,
     word_vocab,
 )
@@ -86,9 +84,7 @@ __all__ = [
     "byte_vocab",
     "decode",
     "encode",
-    "load_vocab",
     "read_corpus",
-    "save_vocab",
     "train_bpe",
     "word_vocab",
 ]

@@ -37,7 +37,6 @@ from .tokenizer import (
     byte_vocab,
     decode as detokenize,
     encode,
-    load_vocab,
     train_bpe,
     word_vocab,
 )
@@ -79,7 +78,7 @@ _DEFAULTS = {
     "seed": 0,
     "corpus": "",
     "prompt_tokens": 64,
-    "tokenizer": {"mode": "byte", "vocab_path": None, "train_size": 512},
+    "tokenizer": {"mode": "byte", "train_size": 512},
     "oracle": {"kind": "replay", "order": 2, "endpoint": None},
     "decode": asdict(DecodeOptions()),
     "cost_model": asdict(DEFAULT_COST_MODEL),
@@ -172,15 +171,11 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     # os.path, not Path: a name too long to stat is not found, not an OSError
     if not cfg.corpus.startswith("bundled:") and not os.path.exists(cfg.corpus):
         raise ConfigError(f"corpus file not found: {cfg.corpus}")
-    if tok["vocab_path"] is not None and not os.path.isfile(tok["vocab_path"]):
-        raise ConfigError(f"tokenizer.vocab_path file not found: {tok['vocab_path']}")
     return cfg
 
 
 def _build_vocab(tokenizer: dict, corpus: bytes):
-    """The vocab a config's `tokenizer` section describes, built on `corpus`."""
-    if tokenizer["vocab_path"] is not None:
-        return load_vocab(tokenizer["vocab_path"])
+    """The vocab of the config's `tokenizer.mode`, built over `corpus`."""
     if tokenizer["mode"] == "byte":
         return byte_vocab()
     if tokenizer["mode"] == "whitespace":
@@ -256,7 +251,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "llm_calls": accel.totals.llm_calls,
             "rollbacks": accel.totals.rollbacks,
             "baseline_llm_calls": base.totals.llm_calls,
-            "metrics": metrics.to_json(),
+            "metrics": asdict(metrics),
         }, sort_keys=True))
     else:
         print(

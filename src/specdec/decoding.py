@@ -40,7 +40,7 @@ import json
 import os
 import tempfile
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from itertools import accumulate
 from pathlib import Path
 
@@ -131,34 +131,28 @@ class _StepLog(Sequence):
     def __len__(self) -> int:
         return len(self._accepted)
 
-    def _records(self, start: int, stop: int, o: int = 0):
-        """Steps start to stop, the first of which commits from `output[o]`."""
-        output, drafted, levels, ends, accepted = (
-            self._output, self._drafted, self._levels, self._ends, self._accepted)
-        d0 = ends[start - 1] if start else 0
-        call_less = len(accepted) - 1 if self._eos_last else -1
-        for i in range(start, stop):
-            d1, acc = ends[i], accepted[i]
-            batch = 0 if i == call_less else 1 + d1 - d0
-            sim_time = self._vb + self._vp * batch if batch else 0.0
-            yield StepRecord(i, drafted[d0:d1], levels[d0:d1], acc, output[o:o + 1 + acc],
-                             batch, sim_time)
-            d0, o = d1, o + 1 + acc
+    def _record(self, i: int, o: int) -> StepRecord:
+        """Step i, which commits from `output[o]`."""
+        ends, acc = self._ends, self._accepted[i]
+        d0, d1 = ends[i - 1] if i else 0, ends[i]
+        batch = 0 if self._eos_last and i == len(self._accepted) - 1 else 1 + d1 - d0
+        sim_time = self._vb + self._vp * batch if batch else 0.0
+        return StepRecord(i, self._drafted[d0:d1], self._levels[d0:d1], acc,
+                          self._output[o:o + 1 + acc], batch, sim_time)
 
     def __iter__(self):
-        return self._records(0, len(self))
+        o = 0
+        for i, acc in enumerate(self._accepted):
+            yield self._record(i, o)
+            o += 1 + acc
 
     def __getitem__(self, index):
         picked = range(len(self))[index]  # IndexError and TypeError as for a list
         if self._starts is None:
             self._starts = list(accumulate(self._accepted, lambda o, acc: o + 1 + acc, initial=0))
         if isinstance(picked, int):
-            return next(self._records(picked, picked + 1, self._starts[picked]))
-        if not picked:
-            return []
-        lo = min(picked)
-        window = list(self._records(lo, max(picked) + 1, self._starts[lo]))
-        return [window[i - lo] for i in picked]
+            return self._record(picked, self._starts[picked])
+        return [self._record(i, self._starts[i]) for i in picked]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (list, _StepLog)):
@@ -398,7 +392,7 @@ def write_trace(path: str | Path, result: DecodeResult, oracle_json: dict,
                 "n": result.options.n_max,
                 "k": result.options.k_draft,
                 "oracle": oracle_json,
-                "cost_model": cost_model.to_json(),
+                "cost_model": asdict(cost_model),
             },
             sort_keys=True,
         )

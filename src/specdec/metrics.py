@@ -43,9 +43,6 @@ class RunMetrics:
     steps: int
     output_len: int
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def sim_total_time(result: DecodeResult, cost_model: CostModel) -> float:
     """Prefill plus one verify cost per step, recomputed from batch lengths
@@ -182,7 +179,7 @@ def sweep(
                 continue
             cells[n, k] = compute_metrics(accel, base, cm)
     config = {
-        "cost_model": cm.to_json(),
+        "cost_model": asdict(cm),
         "n_grid": n_grid,
         "k_grid": k_grid,
         "prompt_len": len(prompt),

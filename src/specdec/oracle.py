@@ -22,7 +22,7 @@ import hashlib
 import json
 import math
 import socket
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .server import _EXTEND_AT_REQUEST, _EXTEND_REPLY_RE, _EXTEND_REQUEST, MAX_LINE_BYTES
 
@@ -98,9 +98,6 @@ class CostModel:
                 raise ValueError(f"{f.name} must be >= 0")
             # an int is stored as the float a trace header writes: 1 as 1.0
             object.__setattr__(self, f.name, float(value))
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 DEFAULT_COST_MODEL = CostModel()

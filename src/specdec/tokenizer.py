@@ -7,9 +7,7 @@ to byte decomposition so encoding is total.
 
 from __future__ import annotations
 
-import base64
 import heapq
-import json
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -22,8 +20,6 @@ __all__ = [
     "train_bpe",
     "encode",
     "decode",
-    "save_vocab",
-    "load_vocab",
     "read_corpus",
 ]
 
@@ -237,28 +233,6 @@ def decode(ids: list[int], vocab: Vocab) -> bytes:
             raise ValueError(f"invalid token id {token_id!r} at position {pos}")
         out += vocab.tokens[token_id]
     return bytes(out)
-
-
-def save_vocab(vocab: Vocab, path: str | Path) -> None:
-    payload = {
-        "tokens": [base64.b64encode(tok).decode("ascii") for tok in vocab.tokens],
-        "eos": vocab.eos,
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-
-def load_vocab(path: str | Path) -> Vocab:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(payload, dict) or "tokens" not in payload:
-        raise ValueError(f"not a vocab file: {path}")
-    tokens, eos = payload["tokens"], payload.get("eos")
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-        raise ValueError(f"vocab {path}: tokens must be a list of base64 strings")
-    # type(), not isinstance(): JSON true and false load as bools, which are ints
-    if eos is not None and type(eos) is not int:
-        raise ValueError(f"vocab {path}: eos must be an integer or null, got {eos!r}")
-    # validate=True: a character outside the base64 alphabet is refused, not skipped
-    return Vocab(tokens=tuple(base64.b64decode(t, validate=True) for t in tokens), eos=eos)
 
 
 def read_corpus(path: str | Path) -> bytes:

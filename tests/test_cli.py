@@ -1,5 +1,4 @@
 import argparse
-import base64
 import json
 import queue
 import shlex
@@ -91,7 +90,7 @@ def test_run_missing_corpus_exits_1(tmp_path, capsys):
     assert (code, out, err) == (1, "", f"error: corpus file not found: {nope}\n")
 
 
-@pytest.mark.parametrize("section, key", [("", "corpus"), ("tokenizer", "vocab_path")])
+@pytest.mark.parametrize("section, key", [("", "corpus")])
 def test_a_path_too_long_to_stat_is_not_found(tmp_path, section, key):
     config = {"corpus": "bundled:repetitive.txt"}
     (config.setdefault(section, {}) if section else config)[key] = "x" * 5000
@@ -158,9 +157,8 @@ def test_run_non_int_setting_exits_1(tmp_path, capsys, section, key, value):
 
 @pytest.mark.parametrize(
     "section, key, optional",
-    [("", "corpus", False), ("tokenizer", "mode", False), ("tokenizer", "vocab_path", True),
-     ("oracle", "kind", False), ("oracle", "endpoint", True), ("", "trace_path", True),
-     ("", "report_path", True)],
+    [("", "corpus", False), ("tokenizer", "mode", False), ("oracle", "kind", False),
+     ("oracle", "endpoint", True), ("", "trace_path", True), ("", "report_path", True)],
 )
 @pytest.mark.parametrize("value", [7, 2.5, True, ["a"], {"a": 1}, None])
 def test_run_non_string_setting_exits_1(tmp_path, capsys, section, key, optional, value):
@@ -184,6 +182,8 @@ def test_run_non_string_setting_exits_1(tmp_path, capsys, section, key, optional
         ({"oracle": {"kind": "replay", "ordr": 2}}, "oracle.ordr"),
         ({"tokenizer": {"mode": "byte", "vocab": "v.json"}}, "tokenizer.vocab"),
         ({"cost_model": {"verify_cost": 1.0}}, "cost_model.verify_cost"),
+        # a run's vocab is built from its corpus; no key names a vocab file
+        ({"tokenizer": {"vocab_path": "v.json"}}, "tokenizer.vocab_path"),
     ],
 )
 def test_run_unknown_config_key_exits_1(tmp_path, capsys, config, key):
@@ -565,30 +565,6 @@ def test_bad_kind_or_mode_exits_1_before_the_corpus_is_read(
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
-def test_run_replay_with_an_eos_less_vocab_exits_1(tmp_path, capsys):
-    vocab = tmp_path / "vocab.json"
-    vocab.write_text(json.dumps({"tokens": [base64.b64encode(bytes([i])).decode() for i in range(256)]}))
-    cfg = tmp_path / "noeos.json"
-    cfg.write_text(json.dumps({
-        "corpus": "bundled:repetitive.txt", "tokenizer": {"vocab_path": str(vocab)},
-        "decode": {"max_new_tokens": 8},
-    }))
-    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
-    assert (code, out) == (1, "")
-    assert "error: replay eos must be an integer, got None" in err
-
-
-@pytest.mark.parametrize("payload", [{"tokens": 5}, {"tokens": ["AA=="], "eos": "x"}])
-def test_malformed_vocab_file_exits_1(tmp_path, capsys, payload):
-    vocab = tmp_path / "vocab.json"
-    vocab.write_text(json.dumps(payload))
-    cfg = tmp_path / "vocab_run.json"
-    cfg.write_text(json.dumps({"corpus": "bundled:repetitive.txt", "tokenizer": {"vocab_path": str(vocab)}}))
-    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
-    assert (code, out) == (1, "")
-    assert err.startswith(f"error: vocab {vocab}: ") and "Traceback" not in err
-
-
 SOURCE = {"corpus": "bundled:repetitive.txt", "mode": "byte", "prompt_tokens": 200}
 
 
@@ -739,16 +715,17 @@ def test_serve_oracle_negative_prompt_tokens_exits_1(tmp_path, capsys, monkeypat
 
 
 def test_serve_oracle_unbuildable_spec_exits_1(tmp_path, capsys, monkeypatch):
-    # the factory is called once before serving: a replay oracle needs an eos
+    # the factory is called once before serving: a Markov oracle needs more
+    # corpus tokens than its order
     _never_serve(monkeypatch)
-    vocab = tmp_path / "vocab.json"
-    vocab.write_text(json.dumps({"tokens": [base64.b64encode(bytes([i])).decode() for i in range(256)]}))
+    corpus = tmp_path / "short.txt"
+    corpus.write_bytes(b"abcdefgh")
     cfg = write_config(tmp_path / "served.json", {
-        "corpus": "bundled:shuffled.txt", "tokenizer": {"vocab_path": str(vocab)}, "oracle": {"kind": "replay"},
+        "corpus": str(corpus), "prompt_tokens": 4, "oracle": {"kind": "markov", "order": 8},
     })
     code, out, err = run_cli(capsys, "serve-oracle", "--config", cfg, "--listen", "127.0.0.1:0")
     assert (code, out) == (1, "")
-    assert err == "error: replay eos must be an integer, got None\n"
+    assert err == "error: corpus of length 8 too short for order 8\n"
 
 
 def test_serve_oracle_refuses_an_external_oracle(tmp_path, capsys, monkeypatch):

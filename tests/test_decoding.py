@@ -579,6 +579,26 @@ def test_speculative_decode_and_metrics_build_no_step_record(monkeypatch):
     assert (last.committed, last.verify_batch_len) == ([EOS], 0)
 
 
+def test_a_strided_slice_builds_only_the_records_it_returns(monkeypatch):
+    prompt = [1, 2, 3, 1, 2, 3]
+    res = speculative_decode(replay(prompt, [1, 2, 3, 4] * 30), prompt,
+                             DecodeOptions(n_max=3, k_draft=4, max_new_tokens=100), FLAT)
+    records = list(res.steps)
+    assert len(records) > 20
+    built = []
+
+    def counting(*args):
+        built.append(args[0])
+        return StepRecord(*args)
+
+    monkeypatch.setattr(decoding, "StepRecord", counting)
+    for cut in (slice(1, None, 5), slice(None, None, -4), slice(-2, 3, -7)):
+        built.clear()
+        picked = res.steps[cut]
+        assert built == list(range(len(records)))[cut] == [s.step_index for s in picked]
+        assert picked == records[cut]
+
+
 def test_result_survives_the_benchmarks_store_drop():
     """The benchmark drops each result's store with `dataclasses.replace`
     and hashes each step's seven fields."""

@@ -19,15 +19,14 @@ PUBLIC = [
     "DEFAULT_COST_MODEL", "CostModel", "ExternalOracle", "MarkovOracle", "OracleConnectError",
     "OracleError", "OracleProtocolError", "OracleTransportError", "ReplayOracle", "simulate_cost",
     "OracleServer",
-    "Vocab", "byte_vocab", "decode", "encode", "load_vocab",
-    "read_corpus", "save_vocab", "train_bpe", "word_vocab",
+    "Vocab", "byte_vocab", "decode", "encode", "read_corpus", "train_bpe", "word_vocab",
 ]
 
 MODULES = ["specdec"] + [f"specdec.{m.name}" for m in pkgutil.iter_modules(specdec.__path__)]
 
 
 def test_package_all_is_pinned():
-    assert len(PUBLIC) == 37
+    assert len(PUBLIC) == 35
     assert specdec.__all__ == PUBLIC
 
 

@@ -1,4 +1,3 @@
-import json
 import re
 
 import pytest
@@ -11,9 +10,7 @@ from specdec.tokenizer import (
     byte_vocab,
     decode,
     encode,
-    load_vocab,
     read_corpus,
-    save_vocab,
     train_bpe,
     word_vocab,
 )
@@ -135,41 +132,6 @@ def test_bpe_ratio_property(words):
         return
     v = train_bpe(corpus, 300)
     assert len(encode(corpus, v, "bpe")) >= len(corpus.split())  # merges never cross a word
-
-
-def test_vocab_json_round_trip(tmp_path):
-    v = train_bpe(b"roundtrip roundtrip roundtrip", 270)
-    path = tmp_path / "vocab.json"
-    save_vocab(v, path)
-    loaded = load_vocab(path)
-    assert loaded.tokens == v.tokens
-    assert loaded.eos == v.eos
-    payload = json.loads(path.read_text())
-    assert set(payload) == {"tokens", "eos"}
-
-
-@pytest.mark.parametrize("payload, match", [
-    ({"tokens": 5}, "tokens must be a list of base64 strings"),
-    ({"tokens": "AA=="}, "tokens must be a list of base64 strings"),
-    ({"tokens": ["AA==", 7]}, "tokens must be a list of base64 strings"),
-    ({"tokens": ["AA==", None]}, "tokens must be a list of base64 strings"),
-    ({"tokens": ["A?=="]}, "base64"),
-    ({"tokens": ["AA=="], "eos": "x"}, "eos must be an integer or null"),
-    ({"tokens": ["AA=="], "eos": True}, "eos must be an integer or null"),
-    ({"tokens": ["AA=="], "eos": 0.0}, "eos must be an integer or null"),
-    ({"tokens": ["AA=="], "eos": 1}, "out of range"),
-])
-def test_load_vocab_refuses_a_malformed_file(tmp_path, payload, match):
-    path = tmp_path / "vocab.json"
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=match):
-        load_vocab(path)
-
-
-def test_load_vocab_reads_a_file_without_eos(tmp_path):
-    path = tmp_path / "vocab.json"
-    path.write_text(json.dumps({"tokens": ["AA==", "AQ=="]}))
-    assert load_vocab(path) == Vocab(tokens=(b"\x00", b"\x01"), eos=None)
 
 
 def test_vocab_rejects_duplicates():
