@@ -1,27 +1,30 @@
-"""Access to corpora and configs shipped inside the package."""
+"""Access to the corpora shipped inside the package."""
 
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 
 __all__ = ["bundled_names", "bundled_bytes", "resolve_corpus_ref"]
 
 _PREFIX = "bundled:"
+_DATA = resources.files("specdec") / "data"
 
 
-def _data_root():
-    return resources.files("specdec") / "data"
+@cache
+def _names() -> tuple[str, ...]:
+    return tuple(sorted(p.name for p in _DATA.iterdir() if p.name.endswith(".txt")))
 
 
 def bundled_names() -> list[str]:
-    return sorted(p.name for p in _data_root().iterdir() if p.name.endswith(".txt"))
+    return list(_names())
 
 
 def bundled_bytes(name: str) -> bytes:
-    entry = _data_root() / name
-    if not entry.is_file():
+    # only a listed name: a path such as "../cli.py" names no shipped corpus
+    if name not in _names():
         raise FileNotFoundError(f"no bundled file {name!r}; available: {bundled_names()}")
-    return entry.read_bytes()
+    return (_DATA / name).read_bytes()
 
 
 def resolve_corpus_ref(ref: str) -> bytes:

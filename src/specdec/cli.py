@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .bundled import resolve_corpus_ref
+from .bundled import bundled_names, resolve_corpus_ref
 from .decoding import (
     N_MAX_CAP,
     DecodeOptions,
@@ -168,8 +168,11 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     ):
         if value < least:
             raise ConfigError(f"{name} must be >= {least}, got {value}")
-    # os.path, not Path: a name too long to stat is not found, not an OSError
-    if not cfg.corpus.startswith("bundled:") and not os.path.exists(cfg.corpus):
+    if cfg.corpus.startswith("bundled:"):
+        if cfg.corpus[len("bundled:"):] not in bundled_names():
+            raise ConfigError(f"corpus {cfg.corpus!r} names no bundled corpus; "
+                              f"available: {', '.join(bundled_names())}")
+    elif not os.path.exists(cfg.corpus):  # os.path: a name too long to stat is not found, no OSError
         raise ConfigError(f"corpus file not found: {cfg.corpus}")
     return cfg
 

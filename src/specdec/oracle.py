@@ -143,7 +143,7 @@ class ReplayOracle:
             raise ValueError(f"replay eos must be an integer, got {eos!r}")
         self._script: list[int] = list(prompt) + list(target)
         self.eos = eos
-        self.vocab_size = max(self._script + [eos]) + 1
+        self.vocab_size = max(max(self._script), eos) + 1
         self._consumed = 0
 
     def extend(self, tokens: list[int]) -> list[int]:

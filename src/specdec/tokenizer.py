@@ -29,6 +29,10 @@ MODES = ("byte", "whitespace", "bpe")
 # boundary, so a subword encoding has at least one token per word.
 _RUN_RE = re.compile(rb"\s+|\S+")
 
+# The 256 one-byte token strings in byte order: the first 256 tokens of
+# every vocab this module builds.
+_BYTES = tuple(bytes((b,)) for b in range(256))
+
 
 @dataclass(frozen=True)
 class Vocab:
@@ -38,19 +42,21 @@ class Vocab:
     eos: int | None = None
 
     def __post_init__(self) -> None:
-        if len(set(self.tokens)) != len(self.tokens):
+        index = dict(zip(self.tokens, range(len(self.tokens))))
+        if len(index) != len(self.tokens):
             raise ValueError("duplicate token strings in vocab")
         # type(), not isinstance(): a bool is an int but no token id
         if self.eos is not None and type(self.eos) is not int:
             raise ValueError(f"eos must be an int or None, got {self.eos!r}")
         if self.eos is not None and not (0 <= self.eos < len(self.tokens)):
             raise ValueError(f"eos id {self.eos} out of range for vocab of size {len(self.tokens)}")
-        index = {tok: i for i, tok in enumerate(self.tokens)}
         object.__setattr__(self, "_index", index)
         # byte value -> id of its one-byte token, None where the vocab lacks it
-        table = tuple(index.get(bytes([b])) for b in range(256))
+        table = tuple(map(index.get, _BYTES))
         object.__setattr__(self, "_byte_table", table)
         object.__setattr__(self, "_covers_bytes", None not in table)
+        # byte b has id b in every vocab this module builds: bytes encode as their values
+        object.__setattr__(self, "_identity_table", table == tuple(range(256)))
 
     @property
     def size(self) -> int:
@@ -62,14 +68,13 @@ class Vocab:
 
 def byte_vocab() -> Vocab:
     """Identity byte vocabulary: id i decodes to byte i, plus an eos token."""
-    tokens = tuple(bytes([i]) for i in range(256)) + (b"",)
-    return Vocab(tokens=tokens, eos=256)
+    return Vocab(tokens=_BYTES + (b"",), eos=256)
 
 
 def word_vocab(corpus: bytes) -> Vocab:
     """Vocabulary for whitespace mode: all bytes, then each distinct run of
     the corpus (words and whitespace runs alike), then eos."""
-    tokens: list[bytes] = [bytes([i]) for i in range(256)]
+    tokens: list[bytes] = list(_BYTES)
     seen = set(tokens)
     for run in _RUN_RE.findall(corpus):
         if run not in seen:
@@ -92,7 +97,7 @@ def train_bpe(corpus: bytes, target_vocab_size: int) -> Vocab:
     if target_vocab_size < 257:
         raise ValueError("target_vocab_size must be >= 257 (256 byte tokens + eos)")
 
-    tokens: list[bytes] = [bytes([i]) for i in range(256)]
+    tokens: list[bytes] = list(_BYTES)
     existing = set(tokens)
     # Each distinct run is segmented and merged once; its pairs count as
     # often as the run occurs. Counter keeps first-occurrence order.
@@ -188,8 +193,9 @@ def _encode_run_bpe(run: bytes, vocab: Vocab) -> list[int]:
 
 
 def _byte_ids(data: bytes, vocab: Vocab) -> list[int]:
-    table = vocab._byte_table  # type: ignore[attr-defined]
-    ids = [table[b] for b in data]
+    if vocab._identity_table:  # type: ignore[attr-defined]
+        return list(data)
+    ids = list(map(vocab._byte_table.__getitem__, data))  # type: ignore[attr-defined]
     if not vocab._covers_bytes and None in ids:  # type: ignore[attr-defined]
         raise ValueError(f"vocab does not cover byte 0x{data[ids.index(None)]:02x}")
     return ids

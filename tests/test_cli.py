@@ -90,6 +90,23 @@ def test_run_missing_corpus_exits_1(tmp_path, capsys):
     assert (code, out, err) == (1, "", f"error: corpus file not found: {nope}\n")
 
 
+# only a shipped corpus: not the package's own source, an unknown name or no name
+@pytest.mark.parametrize("corpus", ["bundled:../cli.py", "bundled:nope.txt", "bundled:"])
+def test_run_corpus_naming_no_bundled_corpus_exits_1(tmp_path, capsys, monkeypatch, corpus):
+    import specdec.cli as cli_mod
+
+    def unread(ref):
+        raise AssertionError(f"corpus {ref} read before the config was checked")
+
+    monkeypatch.setattr(cli_mod, "resolve_corpus_ref", unread)
+    cfg = write_config(tmp_path / "bad.json", {"corpus": corpus, "prompt_tokens": 4})
+    code, out, err = run_cli(capsys, "run", "--config", cfg)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: corpus {corpus!r} names no bundled corpus; available: ")
+    with pytest.raises(FileNotFoundError, match="^no bundled file"):
+        bundled_bytes(corpus[len("bundled:"):])
+
+
 @pytest.mark.parametrize("section, key", [("", "corpus")])
 def test_a_path_too_long_to_stat_is_not_found(tmp_path, section, key):
     config = {"corpus": "bundled:repetitive.txt"}

@@ -332,3 +332,20 @@ def test_no_table_or_memo_crosses_vocabs_or_calls():
         for vocab in (byte_vocab(), reversed_ids, gap, _BPE, other_bpe, _WORDS):
             for mode in MODES:
                 assert _outcome(encode, data, vocab, mode) == _outcome(_ref_encode, data, vocab, mode)
+
+
+@pytest.mark.parametrize("vocab, identity", [
+    (byte_vocab(), True),
+    (_WORDS, True),
+    (_BPE, True),
+    # the identity order with the last two bytes swapped
+    (_permuted_vocab([*range(254), 255, 254]), False),
+], ids=["byte_vocab", "word_vocab", "bpe", "permuted"])
+def test_only_a_vocab_whose_byte_b_has_id_b_takes_the_identity_path(vocab, identity):
+    assert vocab._identity_table is identity
+
+
+@pytest.mark.parametrize("vocab", [byte_vocab(), _permuted_vocab(range(255, -1, -1))], ids=["identity", "permuted"])
+def test_each_encode_returns_its_own_list(vocab):
+    first, second = encode(b"abc", vocab, "byte"), encode(b"abc", vocab, "byte")
+    assert first == second and first is not second
