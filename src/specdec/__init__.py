@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .decoding import (
     DecodeOptions,
     DecodeResult,
-    DecodeTotals,
     StepRecord,
     baseline_decode,
     speculative_decode,
@@ -29,7 +28,6 @@ from .metrics import (
 )
 from .ngram import NgramStore
 from .oracle import (
-    DEFAULT_COST_MODEL,
     CostModel,
     ExternalOracle,
     MarkovOracle,
@@ -38,24 +36,13 @@ from .oracle import (
     OracleProtocolError,
     OracleTransportError,
     ReplayOracle,
-    simulate_cost,
 )
 from .server import OracleServer
-from .tokenizer import (
-    Vocab,
-    byte_vocab,
-    decode,
-    encode,
-    read_corpus,
-    train_bpe,
-    word_vocab,
-)
+from .tokenizer import byte_vocab, decode, encode
 
 __all__ = [
-    "__version__",
     "DecodeOptions",
     "DecodeResult",
-    "DecodeTotals",
     "StepRecord",
     "baseline_decode",
     "speculative_decode",
@@ -69,7 +56,6 @@ __all__ = [
     "theoretical_bound",
     "write_sweep_csv",
     "NgramStore",
-    "DEFAULT_COST_MODEL",
     "CostModel",
     "ExternalOracle",
     "MarkovOracle",
@@ -78,13 +64,8 @@ __all__ = [
     "OracleProtocolError",
     "OracleTransportError",
     "ReplayOracle",
-    "simulate_cost",
     "OracleServer",
-    "Vocab",
     "byte_vocab",
     "decode",
     "encode",
-    "read_corpus",
-    "train_bpe",
-    "word_vocab",
 ]

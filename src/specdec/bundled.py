@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from functools import cache
 from importlib import resources
+from pathlib import Path
 
 __all__ = ["bundled_names", "bundled_bytes", "resolve_corpus_ref"]
 
@@ -28,9 +29,12 @@ def bundled_bytes(name: str) -> bytes:
 
 
 def resolve_corpus_ref(ref: str) -> bytes:
-    """Read corpus bytes from a `bundled:NAME` reference or a filesystem path."""
-    from .tokenizer import read_corpus
-
+    """Read corpus bytes from a `bundled:NAME` reference or a filesystem path:
+    a file, or a directory whose files are concatenated in lexicographic
+    filename order."""
     if ref.startswith(_PREFIX):
         return bundled_bytes(ref[len(_PREFIX):])
-    return read_corpus(ref)
+    p = Path(ref)
+    if p.is_dir():
+        return b"".join(f.read_bytes() for f in sorted(p.iterdir()) if f.is_file())
+    return p.read_bytes()

@@ -136,7 +136,6 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     # each dataclass checks its own values, in messages that begin with the field
     try:
         decode = DecodeOptions(**values["decode"])
-        decode.validate()
     except ValueError as exc:
         raise ConfigError(f"decode.{exc}") from None
     try:

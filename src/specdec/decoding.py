@@ -64,7 +64,7 @@ __all__ = [
 N_MAX_CAP = 64
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecodeOptions:
     n_max: int = 5
     k_draft: int = 7
@@ -72,7 +72,7 @@ class DecodeOptions:
     runtime_update: bool = True
     fixed_level_only: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             # type(), not isinstance(): a bool is an int, and 3.0 is no int
@@ -192,7 +192,6 @@ def baseline_decode(oracle, prompt: list[int], options: DecodeOptions,
                     cost_model: CostModel | None = None) -> DecodeResult:
     """Plain greedy loop: prefill once, then one single-token call per
     emitted token. Stops at max_new_tokens or eos."""
-    options.validate()
     if not prompt:
         raise ValueError("prompt must be non-empty")
     cm = cost_model or DEFAULT_COST_MODEL
@@ -287,7 +286,6 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
     paying token passed, the one that did not pay; judging it costs no
     oracle call and keeps a level whose tokens stopped paying measured.
     """
-    options.validate()
     if not prompt:
         raise ValueError("prompt must be non-empty")
     cm = cost_model or DEFAULT_COST_MODEL

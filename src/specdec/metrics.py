@@ -151,10 +151,11 @@ def sweep(
     n_grid, k_grid = sorted(set(n_grid)), sorted(set(k_grid))
     if not n_grid or not k_grid:
         raise ValueError("n_grid and k_grid must be non-empty")
+    # DecodeOptions checks itself when built: refuse a bad grid value before any decode
     for n in n_grid:
-        replace(options, n_max=n).validate()
+        replace(options, n_max=n)
     for k in k_grid:
-        replace(options, k_draft=k).validate()
+        replace(options, k_draft=k)
     if not prompt:
         raise ValueError("prompt must be non-empty")
     cm = cost_model or DEFAULT_COST_MODEL

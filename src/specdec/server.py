@@ -53,9 +53,12 @@ MAX_LINE_BYTES = 1 << 20
 MAX_CONNECTIONS = 64
 
 # Bounds the tokens one connection's oracle holds, so that a client cannot
-# grow its memory one line at a time. 1 Mi tokens is some 1,700 times the
-# demo prefill. Read when a connection opens.
-MAX_CONSUMED_TOKENS = 1 << 20
+# grow its memory one line at a time, and with MAX_CONNECTIONS the server's:
+# a MarkovOracle holding 64 Ki ids fresh from the wire traces 2.3 MiB, so 64
+# full connections hold some 150 MiB. 64 Ki is some 40 times the most a
+# 600-token prompt with 1,000 new tokens at k_draft 7 holds. Read when a
+# connection opens.
+MAX_CONSUMED_TOKENS = 1 << 16
 
 
 # The two hot lines, each written by one peer and read by the other without

@@ -1,8 +1,10 @@
 """Tokenization: byte-level, whitespace-run, and trained byte-pair vocabularies.
 
-All encoders map byte strings to dense integer token ids. Byte and BPE
-encodings round-trip losslessly; unknown words in whitespace mode fall back
-to byte decomposition so encoding is total.
+All encoders map byte strings to dense integer token ids. A `Vocab` lists
+the 256 one-byte tokens first, in byte order, so byte b has id b in every
+vocab and byte input encodes as its byte values. Byte and BPE encodings
+round-trip losslessly; unknown words in whitespace mode fall back to byte
+decomposition so encoding is total.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import heapq
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from pathlib import Path
 
 __all__ = [
     "Vocab",
@@ -20,7 +21,6 @@ __all__ = [
     "train_bpe",
     "encode",
     "decode",
-    "read_corpus",
 ]
 
 MODES = ("byte", "whitespace", "bpe")
@@ -30,18 +30,21 @@ MODES = ("byte", "whitespace", "bpe")
 _RUN_RE = re.compile(rb"\s+|\S+")
 
 # The 256 one-byte token strings in byte order: the first 256 tokens of
-# every vocab this module builds.
+# every vocab.
 _BYTES = tuple(bytes((b,)) for b in range(256))
 
 
 @dataclass(frozen=True)
 class Vocab:
-    """Ordered token table; ids are exactly [0, len(tokens))."""
+    """Ordered token table; ids are exactly [0, len(tokens)). The first 256
+    tokens are the one-byte strings in byte order, so byte b has id b."""
 
     tokens: tuple[bytes, ...]
     eos: int | None = None
 
     def __post_init__(self) -> None:
+        if tuple(self.tokens[:256]) != _BYTES:
+            raise ValueError("a vocab must list the 256 one-byte tokens first, in byte order")
         index = dict(zip(self.tokens, range(len(self.tokens))))
         if len(index) != len(self.tokens):
             raise ValueError("duplicate token strings in vocab")
@@ -51,12 +54,6 @@ class Vocab:
         if self.eos is not None and not (0 <= self.eos < len(self.tokens)):
             raise ValueError(f"eos id {self.eos} out of range for vocab of size {len(self.tokens)}")
         object.__setattr__(self, "_index", index)
-        # byte value -> id of its one-byte token, None where the vocab lacks it
-        table = tuple(map(index.get, _BYTES))
-        object.__setattr__(self, "_byte_table", table)
-        object.__setattr__(self, "_covers_bytes", None not in table)
-        # byte b has id b in every vocab this module builds: bytes encode as their values
-        object.__setattr__(self, "_identity_table", table == tuple(range(256)))
 
     @property
     def size(self) -> int:
@@ -183,28 +180,12 @@ def _encode_run_bpe(run: bytes, vocab: Vocab) -> list[int]:
         if best_id is None:
             break
         parts = _merge_run(parts, vocab.tokens[best_id])
-    ids = []
-    for p in parts:
-        i = vocab.index_of(p)
-        if i is None:
-            raise ValueError(f"vocab does not cover byte 0x{p[0]:02x}")
-        ids.append(i)
-    return ids
-
-
-def _byte_ids(data: bytes, vocab: Vocab) -> list[int]:
-    if vocab._identity_table:  # type: ignore[attr-defined]
-        return list(data)
-    ids = list(map(vocab._byte_table.__getitem__, data))  # type: ignore[attr-defined]
-    if not vocab._covers_bytes and None in ids:  # type: ignore[attr-defined]
-        raise ValueError(f"vocab does not cover byte 0x{data[ids.index(None)]:02x}")
-    return ids
+    return list(map(vocab.index_of, parts))
 
 
 def encode(text: bytes | str, vocab: Vocab, mode: str = "byte") -> list[int]:
-    """Encode a byte string to token ids. Total for byte/bpe modes given a
-    vocab that covers all bytes; unknown whitespace-mode words decompose to
-    byte tokens."""
+    """Encode a byte string to token ids. Total in every mode: a byte's id is
+    its value, and unknown whitespace-mode words decompose to byte tokens."""
     if isinstance(text, str):
         text = text.encode("utf-8")
     if mode not in MODES:
@@ -212,7 +193,7 @@ def encode(text: bytes | str, vocab: Vocab, mode: str = "byte") -> list[int]:
     if not text:
         return []
     if mode == "byte":
-        return _byte_ids(text, vocab)
+        return list(text)
     ids: list[int] = []
     # bpe: each distinct run is encoded once per call
     memo: dict[bytes, list[int]] = {}
@@ -222,7 +203,7 @@ def encode(text: bytes | str, vocab: Vocab, mode: str = "byte") -> list[int]:
             if whole is not None:
                 ids.append(whole)
             else:
-                ids.extend(_byte_ids(run, vocab))
+                ids.extend(run)
         else:
             run_ids = memo.get(run)
             if run_ids is None:
@@ -239,13 +220,3 @@ def decode(ids: list[int], vocab: Vocab) -> bytes:
             raise ValueError(f"invalid token id {token_id!r} at position {pos}")
         out += vocab.tokens[token_id]
     return bytes(out)
-
-
-def read_corpus(path: str | Path) -> bytes:
-    """Read a corpus file, or a directory of files concatenated in
-    lexicographic filename order."""
-    p = Path(path)
-    if p.is_dir():
-        chunks = [f.read_bytes() for f in sorted(p.iterdir()) if f.is_file()]
-        return b"".join(chunks)
-    return p.read_bytes()

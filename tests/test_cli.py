@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdec.bundled import bundled_bytes
+from specdec.bundled import bundled_bytes, resolve_corpus_ref
 from specdec.cli import _DEFAULTS, ConfigError, build_parser, load_config, main
 from specdec.decoding import DecodeOptions, DecodeResult, DecodeTotals
 from specdec.metrics import RunMetrics
@@ -105,6 +105,12 @@ def test_run_corpus_naming_no_bundled_corpus_exits_1(tmp_path, capsys, monkeypat
     assert err.startswith(f"error: corpus {corpus!r} names no bundled corpus; available: ")
     with pytest.raises(FileNotFoundError, match="^no bundled file"):
         bundled_bytes(corpus[len("bundled:"):])
+
+
+def test_resolve_corpus_ref_reads_a_directory_in_filename_order(tmp_path):
+    (tmp_path / "b.txt").write_bytes(b"second")
+    (tmp_path / "a.txt").write_bytes(b"first")
+    assert resolve_corpus_ref(str(tmp_path)) == b"firstsecond"
 
 
 @pytest.mark.parametrize("section, key", [("", "corpus")])

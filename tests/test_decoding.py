@@ -745,22 +745,15 @@ def test_cost_aware_length_pays_off_on_shuffled_text_over_tcp():
 
 
 def test_decode_options_validation():
-    with pytest.raises(ValueError):
-        DecodeOptions(n_max=1).validate()
-    with pytest.raises(ValueError):
-        DecodeOptions(k_draft=0).validate()
-    with pytest.raises(ValueError):
-        DecodeOptions(max_new_tokens=-1).validate()
-    DecodeOptions(n_max=N_MAX_CAP).validate()
+    with pytest.raises(ValueError, match="n_max must be >= 2"):
+        DecodeOptions(n_max=1)
+    with pytest.raises(ValueError, match="k_draft must be >= 1"):
+        DecodeOptions(k_draft=0)
+    with pytest.raises(ValueError, match="max_new_tokens must be >= 0"):
+        DecodeOptions(max_new_tokens=-1)
+    DecodeOptions(n_max=N_MAX_CAP)
     with pytest.raises(ValueError, match=f"n_max must be <= {N_MAX_CAP}"):
-        DecodeOptions(n_max=N_MAX_CAP + 1).validate()
-
-
-class _Untouchable:
-    """An oracle that fails any test that reads it."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"the oracle was touched: {name}")
+        DecodeOptions(n_max=N_MAX_CAP + 1)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -769,12 +762,16 @@ class _Untouchable:
     ("runtime_update", 1), ("fixed_level_only", "yes"),
 ])
 def test_decode_options_refuse_a_wrong_type_before_the_oracle(field, value):
-    opts = DecodeOptions(**{field: value})
+    # refused when built, so no decode loop ever receives it
     with pytest.raises(ValueError, match=f"^{field} must be of type"):
-        opts.validate()
-    for decode in (baseline_decode, speculative_decode):
-        with pytest.raises(ValueError, match=f"^{field} must be of type"):
-            decode(_Untouchable(), [1, 2], opts)
+        DecodeOptions(**{field: value})
+
+
+def test_decode_options_cannot_be_changed_past_their_checks():
+    opts = DecodeOptions()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        opts.n_max = 1
+    assert opts == DecodeOptions()
 
 
 def test_trace_round_trip(tmp_path):

@@ -4,6 +4,7 @@ import json
 import socket
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -898,6 +899,27 @@ def test_an_at_out_of_range_is_refused_in_the_same_words_on_either_path(at, sepa
         error = f"'at' must be an int, got {value!r}"
     assert reply == json.dumps({"ok": False, "error": error}).encode() + b"\n"
     assert probe == UNCHANGED
+
+
+def test_the_shipped_caps_bound_the_tokens_the_whole_server_holds():
+    # README's bound: MAX_CONNECTIONS oracles, each filled to the shipped
+    # MAX_CONSUMED_TOKENS with ids fresh from the wire, hold under 160 MiB
+    cap = server_module.MAX_CONSUMED_TOKENS
+    corpus = [i % 1999 for i in range(5000)]
+    tracemalloc.start()
+    try:
+        conn = _Connection(MarkovOracle(corpus, order=2, seed=5))
+        before = tracemalloc.get_traced_memory()[0]
+        for start in range(0, cap, cap // 8):
+            ids = ", ".join(str(300 + (start + i) % 1699) for i in range(cap // 8))
+            reply = _handle_request(conn, b'{"op": "extend", "tokens": [%s]}' % ids.encode())
+            assert reply.startswith(b'{"ok": true')
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    refusal = {"ok": False, "error": f"extend would hold {cap + 1} tokens, over the cap of {cap}"}
+    assert _handle_request(conn, b'{"op": "extend", "tokens": [1]}') == json.dumps(refusal).encode() + b"\n"
+    assert server_module.MAX_CONNECTIONS * held < 160 << 20
 
 
 @pytest.mark.parametrize("separator", [", ", ","])  # the fast path, then the json path
