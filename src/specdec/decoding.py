@@ -179,7 +179,7 @@ class DecodeResult:
     totals: DecodeTotals
     prompt_len: int
     options: DecodeOptions
-    store: NgramStore | None = field(default=None, repr=False)
+    store: NgramStore | None = field(default=None, repr=False, compare=False)
 
 
 def _wrap_oracle_error(exc: OracleError, where: str) -> OracleError:
@@ -274,9 +274,11 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
     stops after the first token that does not pay (`NgramStore.draft`),
     validate [carried] + the paying tokens in one call, commit the accepted
     prefix, carry the oracle's next prediction. The accepted tokens and the
-    next carried token go into the store in one update. A step after a
-    verify that rejected a token first truncates the oracle to the
-    committed prefix before the carried token.
+    next carried token go into the store in one update; with
+    `runtime_update` off they go into a list of the loop's own, and the
+    store keeps the prompt's counts. A step after a verify that rejected a
+    token first truncates the oracle to the committed prefix before the
+    carried token.
 
     Each level starts at 1 hit of 1 reached. After a verify with `acc`
     accepted, the levels of the first `acc` tokens each count a hit and a
@@ -289,7 +291,7 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
     if not prompt:
         raise ValueError("prompt must be non-empty")
     cm = cost_model or DEFAULT_COST_MODEL
-    store = NgramStore(list(prompt), options.n_max, runtime_update=options.runtime_update)
+    store = NgramStore(list(prompt), options.n_max)
     oracle.reset()
     try:
         preds = oracle.extend(list(prompt))
@@ -299,7 +301,9 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
     budget, k_draft, fixed = options.max_new_tokens, options.k_draft, options.fixed_level_only
     eos = oracle.eos
     counts = hits, reached = [1] * (options.n_max + 1), [1] * (options.n_max + 1)
-    committed = store.committed
+    live = options.runtime_update
+    committed = store.committed if live else list(prompt)
+    commit = store.update if live else lambda *tokens: committed.extend(tokens)
     stop = len(prompt) + budget  # the length of `committed` once the budget is spent
     rollbacks, eos_last, rejected = 0, False, False
     drafted_log: list[int] = []
@@ -307,7 +311,7 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
     ends: list[int] = []
     accepted_log: list[int] = []
     if budget:
-        store.update(carried)
+        commit(carried)
     while budget:  # each step starts with `carried` committed; the loop ends by break
         if carried == eos:
             ends.append(len(drafted_log))
@@ -345,10 +349,10 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
         ends.append(len(drafted_log))
         accepted_log.append(len(kept))
         if eos_hit or len(committed) + len(kept) == stop:
-            store.update(*kept)
+            commit(*kept)
             break
         carried = next_carried
-        store.update(*kept, carried)
+        commit(*kept, carried)
     output = committed[len(prompt):]
     calls = 1 + len(accepted_log) - eos_last
     totals = DecodeTotals(len(drafted_log), sum(accepted_log), calls, rollbacks)

@@ -46,17 +46,15 @@ class NgramStore:
     """Single-owner mutable store; not internally synchronized.
 
     `committed` always holds every token fed via the constructor or
-    `update`, and only `update` may change it: `draft` trusts the window id
-    cached for its end. With `runtime_update=False` updates append to
-    `committed` but leave all counts frozen at their post-construction
-    state; `runtime_update` is fixed for the life of the store.
+    `update`, each counted, and only `update` may change it: `draft` trusts
+    the window id cached for its end. A store whose counts must stay frozen
+    is one that is fed nothing more.
     """
 
-    def __init__(self, token_ids: list[int], n_max: int, *, runtime_update: bool = True) -> None:
+    def __init__(self, token_ids: list[int], n_max: int) -> None:
         if n_max < 2:
             raise ValueError(f"n_max must be >= 2, got {n_max}")
         self.n_max = n_max
-        self.runtime_update = runtime_update
         self.committed: list[int] = []
         # a row's None key holds its argmax; every other key is a next token
         self._rows: dict[tuple[int, ...], dict[int | None, int]] = {}
@@ -71,12 +69,8 @@ class NgramStore:
         self._commit(token_ids)
 
     def update(self, *tokens: int) -> None:
-        """Commit `tokens` in order, counting their windows unless the
-        store is frozen."""
-        if self.runtime_update:
-            self._commit(tokens)
-        else:
-            self.committed.extend(tokens)
+        """Commit `tokens` in order, counting their windows."""
+        self._commit(tokens)
 
     def _commit(self, tokens) -> None:
         seq, rows, ids = self.committed, self._rows, self._ids
@@ -174,7 +168,7 @@ class NgramStore:
             return [], [], 0
         rows, ids, paths, succ = self._rows, self._ids, self._paths, self._succ
         width = n_max - 1
-        if tail is self.committed and self.runtime_update:
+        if tail is self.committed:
             cur = self._tail
             if cur.__class__ is tuple:
                 ctx, cur = cur, None

@@ -159,23 +159,30 @@ def _extend(conn: _Connection, tokens: list[int], at: int | None) -> bytes:
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
+        """Serve one connection. A client that resets it or goes away
+        mid-reply ends it with one log line, not a traceback."""
+        peer = "%s:%s" % self.client_address[:2]
         send = self.connection.sendall
         try:
-            oracle = self.server.oracle_factory()  # type: ignore[attr-defined]
-        except Exception as exc:  # noqa: BLE001 - blame the server, not the transport
-            log.exception("oracle factory failed for %s:%s", *self.client_address[:2])
-            send(_line({"ok": False, "error": f"oracle factory failed: {type(exc).__name__}: {exc}"}))
-            return
-        log.info("connection from %s:%s", *self.client_address)
-        conn = _Connection(oracle)
-        while True:
-            line = self.rfile.readline(MAX_LINE_BYTES + 1)
-            if not line:
-                break
-            if len(line) > MAX_LINE_BYTES:
-                send(_line({"ok": False, "error": f"request line over {MAX_LINE_BYTES} bytes"}))
-                break
-            send(_handle_request(conn, line))
+            try:
+                oracle = self.server.oracle_factory()  # type: ignore[attr-defined]
+            except Exception as exc:  # noqa: BLE001 - blame the server, not the transport
+                log.exception("oracle factory failed for %s", peer)
+                error = f"oracle factory failed: {type(exc).__name__}: {exc}"
+                send(_line({"ok": False, "error": error}))
+                return
+            log.info("connection from %s", peer)
+            conn = _Connection(oracle)
+            while True:
+                line = self.rfile.readline(MAX_LINE_BYTES + 1)
+                if not line:
+                    break
+                if len(line) > MAX_LINE_BYTES:
+                    send(_line({"ok": False, "error": f"request line over {MAX_LINE_BYTES} bytes"}))
+                    break
+                send(_handle_request(conn, line))
+        except OSError as exc:  # the oracle's errors are replies; this is the socket's
+            log.info("connection from %s dropped: %s", peer, exc)
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):
@@ -216,6 +223,7 @@ class OracleServer:
         self._server = _TCPServer((host, port), _Handler)
         self._server.oracle_factory = oracle_factory  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
+        self._served = False  # socketserver's shutdown waits for a serve_forever to end
 
     @property
     def address(self) -> str:
@@ -224,14 +232,18 @@ class OracleServer:
 
     def serve_forever(self) -> None:
         log.info("listening on %s", self.address)
+        self._served = True
         self._server.serve_forever()
 
     def start_background(self) -> None:
+        self._served = True
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
         self._thread.start()
 
     def shutdown(self) -> None:
-        self._server.shutdown()
+        """Stop serving, if it ever started, and close the listening socket."""
+        if self._served:
+            self._server.shutdown()
         self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)

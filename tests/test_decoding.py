@@ -446,11 +446,21 @@ def test_store_matches_trace_replay(rng):
     prompt = [rng.randrange(10) for _ in range(10)]
     opts = DecodeOptions(n_max=3, k_draft=4, max_new_tokens=40)
     res = speculative_decode(MarkovOracle(corpus, 2, 9), prompt, opts, FLAT)
-    fresh = NgramStore(prompt, opts.n_max, runtime_update=opts.runtime_update)
+    fresh = NgramStore(prompt, opts.n_max)
     for step in res.steps:
         for tok in step.committed:
             fresh.update(tok)
     assert fresh.snapshot() == res.store.snapshot()
+
+
+def test_identical_decodes_compare_equal(rng):
+    corpus = [rng.randrange(8) for _ in range(200)]
+    prompt = [rng.randrange(8) for _ in range(8)]
+    opts = DecodeOptions(n_max=3, k_draft=4, max_new_tokens=40)
+    a, b = (speculative_decode(MarkovOracle(corpus, 1, 7), prompt, opts) for _ in range(2))
+    assert a.store is not b.store
+    assert a == b
+    assert a != dataclasses.replace(a, output=a.output[:-1])
 
 
 def test_runtime_update_off_freezes_store(rng):
@@ -461,6 +471,31 @@ def test_runtime_update_off_freezes_store(rng):
     res = speculative_decode(MarkovOracle(corpus, 1, 3), prompt, opts, FLAT)
     assert res.output == base.output  # ablation must stay lossless
     assert res.store.snapshot() == NgramStore(prompt, 3).snapshot()
+    assert res.store.committed == prompt  # the loop kept the output in a list of its own
+
+
+def test_runtime_update_off_drafts_from_the_prompt_store(rng):
+    """Without runtime updates each step drafts what a store of the prompt
+    alone drafts from that step's committed tail; with a zero per-token
+    cost every drafted token pays, so the draft is the store's in full."""
+    seen_drafts = 0
+    for _ in range(40):
+        corpus = [rng.randrange(6) for _ in range(200)]
+        prompt = [rng.randrange(6) for _ in range(rng.randint(1, 30))]
+        opts = DecodeOptions(n_max=rng.randint(2, 5), k_draft=rng.randint(1, 6),
+                             max_new_tokens=rng.randint(0, 60), runtime_update=False)
+        res = speculative_decode(MarkovOracle(corpus, 1, 5), prompt, opts, FLAT)
+        frozen = NgramStore(prompt, opts.n_max)
+        done = 0  # output tokens committed before the step's carried token
+        for step in res.steps:
+            tail = prompt + res.output[:done + 1]
+            k = min(opts.k_draft, opts.max_new_tokens - done - 1)
+            expected = frozen.draft(tail, k)[:2] if k > 0 and step.verify_batch_len else ([], [])
+            assert (step.drafted, step.draft_levels) == expected
+            seen_drafts += bool(step.drafted)
+            done += len(step.committed)
+        assert frozen.committed == prompt  # drafting never feeds the store
+    assert seen_drafts
 
 
 def test_losslessness_randomized_replay(rng):

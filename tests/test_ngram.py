@@ -58,15 +58,6 @@ def test_update_on_empty_store_counts_nothing():
     assert s.snapshot()["levels"][0]["entries"] == []
 
 
-def test_update_disabled_freezes_counts():
-    s = NgramStore([1, 2, 1], 2, runtime_update=False)
-    before = json.dumps(s.snapshot())
-    s.update(2)
-    s.update(1)
-    assert json.dumps(s.snapshot()) == before
-    assert s.committed == [1, 2, 1, 2, 1]
-
-
 def test_query_returns_count_argmax():
     s = NgramStore([1, 2, 1, 3, 1, 2], 2)
     assert _first(s, [1]) == (2, 2)  # count 2 beats count 1
@@ -184,16 +175,6 @@ def test_determinism_identical_call_sequences():
     assert a.draft([3, 1], 4) == b.draft([3, 1], 4)
 
 
-def test_ablation_query_depends_only_on_initial_tokens():
-    frozen = NgramStore([4, 5, 4, 5], 2, runtime_update=False)
-    live = NgramStore([4, 5, 4, 5], 2, runtime_update=True)
-    for tok in [4, 4, 4, 4]:
-        frozen.update(tok)
-        live.update(tok)
-    assert _first(frozen, [4]) == (5, 2)  # frozen at initialization statistics
-    assert _first(live, [4]) == (4, 2)  # live store adapted
-
-
 def test_snapshot_entry_ordering():
     s = NgramStore([3, 1, 3, 2, 3, 1], 2)
     entries = s.snapshot()["levels"][0]["entries"]
@@ -266,14 +247,14 @@ def store_scripts(draw):
                       st.integers(1, 8), st.integers(2, n_max + 1))
     batch = st.lists(tok, min_size=1, max_size=4)  # one update(*tokens) call
     ops = st.lists(st.one_of(st.tuples(st.just("update"), batch), probe), max_size=40)
-    return n_max, draw(st.booleans()), draw(st.lists(tok, max_size=40)), draw(ops)
+    return n_max, draw(st.lists(tok, max_size=40)), draw(ops)
 
 
 @given(store_scripts())
 @settings(max_examples=150, deadline=None)
 def test_store_matches_reference_differential(script):
-    n_max, runtime_update, init, ops = script
-    store = NgramStore(init, n_max, runtime_update=runtime_update)
+    n_max, init, ops = script
+    store = NgramStore(init, n_max)
     committed = list(init)
     for op in ops:
         if op[0] == "update":
@@ -282,8 +263,7 @@ def test_store_matches_reference_differential(script):
             continue
         _, extra, length, k, min_level = op
         tail = (committed + extra)[max(0, len(committed) + len(extra) - length) :]
-        counted = committed if runtime_update else init
-        ref = {n: _reference_rows(counted, n) for n in range(2, n_max + 1)}
+        ref = {n: _reference_rows(committed, n) for n in range(2, n_max + 1)}
         assert store.snapshot() == _reference_snapshot(ref, n_max)
         expected_hit = None
         for n in range(n_max, 1, -1):
@@ -303,12 +283,11 @@ def test_store_matches_reference_differential(script):
             assert (draft, levels) == _chained_draft(ref, n_max, tail, k, n_max if fixed else 2)
             assert paid == len(draft)  # without counts every token pays
     assert store.committed == committed
-    counted = committed if runtime_update else init
-    ref = {n: _reference_rows(counted, n) for n in range(2, n_max + 1)}
+    ref = {n: _reference_rows(committed, n) for n in range(2, n_max + 1)}
     assert store.snapshot() == _reference_snapshot(ref, n_max)
     # Every counted window, and only those, has one id, and its path holds the
     # rows of its suffixes, longest first: the rows themselves, not copies.
-    windows = {tuple(counted[max(0, i - n_max + 1) : i]) for i in range(len(counted))}
+    windows = {tuple(committed[max(0, i - n_max + 1) : i]) for i in range(len(committed))}
     assert set(store._ids) == windows
     assert sorted(store._ids.values()) == list(range(len(store._paths)))
     assert len(store._succ) == len(store._paths)
@@ -319,9 +298,8 @@ def test_store_matches_reference_differential(script):
         if len(window) < n_max - 1:
             assert store._succ[i] is None  # a stream-start window's row is shared
     _assert_successors(store)
-    if runtime_update:
-        tail = tuple(committed[-(n_max - 1) :])
-        assert store._tail == store._ids.get(tail, tail)
+    tail = tuple(committed[-(n_max - 1) :])
+    assert store._tail == store._ids.get(tail, tail)
     # Rows hold only ints and None, so the collector never traverses them,
     # and a collection untracks every int-tuple key and successor. A path
     # tuple holds dicts, so CPython keeps it tracked: one tracked object per
@@ -369,18 +347,12 @@ class _RefStore:
     """The store as it was before windows had ids: every commit and every
     drafted token builds its context tuple and looks it up."""
 
-    def __init__(self, token_ids, n_max, *, runtime_update=True):
-        self.n_max, self.runtime_update = n_max, runtime_update
+    def __init__(self, token_ids, n_max):
+        self.n_max = n_max
         self.committed, self._rows, self._paths = [], {}, {}
-        self._commit(token_ids)
+        self.update(*token_ids)
 
     def update(self, *tokens):
-        if self.runtime_update:
-            self._commit(tokens)
-        else:
-            self.committed.extend(tokens)
-
-    def _commit(self, tokens):
         seq, rows, paths = self.committed, self._rows, self._paths
         width = 1 - self.n_max
         for nxt in tokens:
@@ -466,15 +438,15 @@ def walk_scripts(draw):
     for batch in batches:
         ops.append(("update", batch))
         ops += [("draft", d) for d in draw(drafts)]
-    return n_max, draw(st.booleans()), stream[:cut], ops
+    return n_max, stream[:cut], ops
 
 
 @given(walk_scripts())
 @settings(max_examples=300, deadline=None)
 def test_cached_walk_matches_plain_walk(script):
-    n_max, runtime_update, init, ops = script
-    store = NgramStore(init, n_max, runtime_update=runtime_update)
-    ref = _RefStore(init, n_max, runtime_update=runtime_update)
+    n_max, init, ops = script
+    store = NgramStore(init, n_max)
+    ref = _RefStore(init, n_max)
     for kind, arg in ops:
         if kind == "update":
             store.update(*arg)

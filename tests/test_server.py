@@ -1,7 +1,9 @@
 import contextlib
 import gc
 import json
+import logging
 import socket
+import struct
 import threading
 import time
 import tracemalloc
@@ -735,6 +737,40 @@ def test_a_failing_oracle_factory_is_blamed_on_the_server(monkeypatch):
         later.close()
     finally:
         server.shutdown()
+
+
+def test_a_server_that_never_served_shuts_down_and_closes_its_socket():
+    server = OracleServer(lambda: MarkovOracle([i % 7 for i in range(50)], order=2, seed=5))
+    listening = server._server.socket
+    stopper = threading.Thread(target=server.shutdown, daemon=True)
+    stopper.start()
+    stopper.join(timeout=5)  # a hang fails here instead of holding the suite
+    assert not stopper.is_alive(), "shutdown blocked on a server that never served"
+    assert listening.fileno() == -1
+
+
+def test_a_client_reset_is_one_log_line_and_the_next_connection_is_served(caplog, capfd):
+    server = OracleServer(lambda: MarkovOracle([i % 7 for i in range(50)], order=2, seed=5))
+    server.start_background()
+    host, port = server.address.rsplit(":", 1)
+    try:
+        with caplog.at_level(logging.INFO, logger="specdec.server"):
+            with socket.create_connection((host, int(port)), timeout=5) as sock:
+                peer = "%s:%s" % sock.getsockname()[:2]
+                sock.sendall(b'{"op": "info"}\n')
+                assert json.loads(sock.makefile("rb").readline())["ok"]  # the handler is reading
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            deadline = time.monotonic() + 5
+            while not any("dropped" in r.getMessage() for r in caplog.records):
+                assert time.monotonic() < deadline, "the reset was not logged"
+                time.sleep(0.01)
+            assert raw_exchange(server.address, [b'{"op": "info"}'])[0]["ok"]
+    finally:
+        server.shutdown()
+    named = [r.getMessage() for r in caplog.records if peer in r.getMessage()]
+    assert len(named) == 2 and named[0] == f"connection from {peer}"
+    assert named[1].startswith(f"connection from {peer} dropped: ")
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def _answers(lines):
