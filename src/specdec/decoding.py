@@ -20,6 +20,9 @@ after the first one that does not pay is looked up.
 Each step commits between 1 and k_draft+1 tokens, so the accelerated loop
 never takes more steps (hence more oracle calls) than the baseline.
 
+Both loops start with one prefill (`_prefill`): reset the oracle, extend
+it with the whole prompt in one call, and carry its last prediction.
+
 The loop knows how many tokens the oracle has consumed without asking it: a
 verify of [carried] + drafted consumes all of it, and the committed prefix
 then ends one token (the new carried one) past the accepted draft tokens.
@@ -182,26 +185,24 @@ class DecodeResult:
     store: NgramStore | None = field(default=None, repr=False, compare=False)
 
 
-def _wrap_oracle_error(exc: OracleError, where: str) -> OracleError:
-    wrapped = type(exc)(f"{where}: {exc}")
-    wrapped.__cause__ = exc
-    return wrapped
+def _prefill(oracle, prompt: list[int]) -> int:
+    """Reset `oracle`, extend it with the whole prompt in one call and
+    return its prediction after the prompt: the first carried token."""
+    if not prompt:
+        raise ValueError("prompt must be non-empty")
+    oracle.reset()
+    try:
+        return oracle.extend(list(prompt))[-1]
+    except OracleError as exc:
+        raise type(exc)(f"prefill: {exc}") from exc
 
 
 def baseline_decode(oracle, prompt: list[int], options: DecodeOptions,
-                    cost_model: CostModel | None = None) -> DecodeResult:
+                    cost_model: CostModel = DEFAULT_COST_MODEL) -> DecodeResult:
     """Plain greedy loop: prefill once, then one single-token call per
     emitted token. Stops at max_new_tokens or eos."""
-    if not prompt:
-        raise ValueError("prompt must be non-empty")
-    cm = cost_model or DEFAULT_COST_MODEL
-    oracle.reset()
-    try:
-        preds = oracle.extend(list(prompt))
-    except OracleError as exc:
-        raise _wrap_oracle_error(exc, "prefill") from exc
+    carried = _prefill(oracle, prompt)
     totals = DecodeTotals(llm_calls=1)
-    carried = preds[-1]
     eos = oracle.eos
     output: list[int] = []
     steps: list[StepRecord] = []
@@ -213,10 +214,10 @@ def baseline_decode(oracle, prompt: list[int], options: DecodeOptions,
         try:
             preds = oracle.extend([carried])
         except OracleError as exc:
-            raise _wrap_oracle_error(exc, f"step {len(steps)}") from exc
+            raise type(exc)(f"step {len(steps)}: {exc}") from exc
         totals.llm_calls += 1
         steps.append(
-            StepRecord(len(steps), [], [], 0, [carried], 1, simulate_cost(cm, "verify", 1))
+            StepRecord(len(steps), [], [], 0, [carried], 1, simulate_cost(cost_model, "verify", 1))
         )
         carried = preds[0]
     return DecodeResult(
@@ -229,26 +230,24 @@ def baseline_decode(oracle, prompt: list[int], options: DecodeOptions,
 
 
 def build_draft(store: NgramStore, committed_tail: list[int], k_draft: int, *,
-                fixed_level_only: bool = False, counts: tuple[list[int], list[int]] | None = None,
+                min_level: int = 2, counts: tuple[list[int], list[int]] | None = None,
                 cost_model: CostModel | None = None) -> tuple[list[int], list[int], int]:
-    """Draft up to k_draft tokens with `NgramStore.draft`, stopping at the
-    first context no order has seen and, given per-level `counts` and a
-    `cost_model`, right after the first token that does not pay; returns
-    (tokens, levels, paid). Pure with respect to the store."""
-    if k_draft < 1:
-        raise ValueError(f"k_draft must be >= 1, got {k_draft}")
-    return store.draft(committed_tail, k_draft, min_level=store.n_max if fixed_level_only else 2,
-                       counts=counts, cost_model=cost_model)
+    """Draft up to k_draft tokens from orders min_level and up with
+    `NgramStore.draft`, stopping at the first context no such order has seen
+    and, given per-level `counts` and a `cost_model`, right after the first
+    token that does not pay; returns (tokens, levels, paid). Pure."""
+    return store.draft(committed_tail, k_draft, min_level=min_level, counts=counts,
+                       cost_model=cost_model)
 
 
-def verify_step(oracle, carried: int, drafted: list[int]) -> tuple[int, int, list[int]]:
+def verify_step(oracle, carried: int, drafted: list[int]) -> tuple[int, int]:
     """One batched oracle call over [carried] + drafted.
 
-    Returns (accepted_count, next_carried, predictions): accepted_count is
-    the longest prefix of drafted matching the oracle's prediction for the
-    preceding position, and next_carried is predictions[accepted_count],
-    which is the correction at the first mismatch or the bonus token when
-    the whole draft passed.
+    Returns (accepted_count, next_carried): accepted_count is the longest
+    prefix of drafted matching the oracle's prediction for the preceding
+    position, and next_carried is the prediction after the accepted
+    prefix, which is the correction at the first mismatch or the bonus
+    token when the whole draft passed.
     """
     preds = oracle.extend([carried, *drafted])
     accepted = 0
@@ -256,7 +255,7 @@ def verify_step(oracle, carried: int, drafted: list[int]) -> tuple[int, int, lis
         if d != p:
             break
         accepted += 1
-    return accepted, preds[accepted], preds
+    return accepted, preds[accepted]
 
 
 def _align_oracle(oracle, target_len: int) -> None:
@@ -266,7 +265,7 @@ def _align_oracle(oracle, target_len: int) -> None:
 
 
 def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
-                       cost_model: CostModel | None = None) -> DecodeResult:
+                       cost_model: CostModel = DEFAULT_COST_MODEL) -> DecodeResult:
     """Draft-and-verify loop; output is token-identical to baseline_decode.
 
     Per step: commit the carried token, draft up to k_draft continuations
@@ -288,17 +287,10 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
     paying token passed, the one that did not pay; judging it costs no
     oracle call and keeps a level whose tokens stopped paying measured.
     """
-    if not prompt:
-        raise ValueError("prompt must be non-empty")
-    cm = cost_model or DEFAULT_COST_MODEL
+    carried = _prefill(oracle, prompt)
     store = NgramStore(list(prompt), options.n_max)
-    oracle.reset()
-    try:
-        preds = oracle.extend(list(prompt))
-    except OracleError as exc:
-        raise _wrap_oracle_error(exc, "prefill") from exc
-    carried = preds[-1]
-    budget, k_draft, fixed = options.max_new_tokens, options.k_draft, options.fixed_level_only
+    budget, k_draft = options.max_new_tokens, options.k_draft
+    min_level = options.n_max if options.fixed_level_only else 2
     eos = oracle.eos
     counts = hits, reached = [1] * (options.n_max + 1), [1] * (options.n_max + 1)
     live = options.runtime_update
@@ -321,16 +313,16 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
         k_use = stop - len(committed)
         if k_use > k_draft:
             k_use = k_draft
-        tokens, levels, paid = build_draft(store, committed, k_use, fixed_level_only=fixed,
-                                           counts=counts, cost_model=cm) if k_use > 0 else ([], [], 0)
+        tokens, levels, paid = build_draft(store, committed, k_use, min_level=min_level, counts=counts,
+                                           cost_model=cost_model) if k_use > 0 else ([], [], 0)
         drafted = tokens[:paid]
         if rejected:
             _align_oracle(oracle, len(committed) - 1)
             rollbacks += 1
         try:
-            accepted, next_carried, _ = verify_step(oracle, carried, drafted)
+            accepted, next_carried = verify_step(oracle, carried, drafted)
         except OracleError as exc:
-            raise _wrap_oracle_error(exc, f"step {len(accepted_log)}") from exc
+            raise type(exc)(f"step {len(accepted_log)}: {exc}") from exc
         rejected = accepted < paid
         for level in levels[:accepted]:
             hits[level] += 1
@@ -358,7 +350,7 @@ def speculative_decode(oracle, prompt: list[int], options: DecodeOptions,
     totals = DecodeTotals(len(drafted_log), sum(accepted_log), calls, rollbacks)
     return DecodeResult(
         output=output,
-        steps=_StepLog(output, drafted_log, levels_log, ends, accepted_log, eos_last, cm),
+        steps=_StepLog(output, drafted_log, levels_log, ends, accepted_log, eos_last, cost_model),
         totals=totals,
         prompt_len=len(prompt),
         options=options,

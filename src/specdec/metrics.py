@@ -58,7 +58,7 @@ def sim_total_time(result: DecodeResult, cost_model: CostModel) -> float:
     return total
 
 
-def _decode_fresh(decode, new_oracle, prompt, options, cost_model=None) -> DecodeResult:
+def _decode_fresh(decode, new_oracle, prompt, options, cost_model) -> DecodeResult:
     """`decode` on a fresh oracle from `new_oracle()`, closed afterwards if it can be."""
     oracle = new_oracle()
     try:
@@ -71,14 +71,13 @@ def _decode_fresh(decode, new_oracle, prompt, options, cost_model=None) -> Decod
 def compute_metrics(
     accelerated: DecodeResult,
     baseline: DecodeResult,
-    cost_model: CostModel | None = None,
+    cost_model: CostModel = DEFAULT_COST_MODEL,
 ) -> RunMetrics:
     """Derive run metrics from a matched pair of decode results.
 
     Raises LosslessnessError if the two outputs differ; a divergence is an
     engine bug, never something to report as a metric.
     """
-    cm = cost_model or DEFAULT_COST_MODEL
     if accelerated.output != baseline.output:
         n = next(
             (i for i, (a, b) in enumerate(zip(accelerated.output, baseline.output)) if a != b),
@@ -96,8 +95,8 @@ def compute_metrics(
     )
     steps = len(accelerated.steps)
     out_len = len(accelerated.output)
-    accel_time = sim_total_time(accelerated, cm)
-    base_time = sim_total_time(baseline, cm)
+    accel_time = sim_total_time(accelerated, cost_model)
+    base_time = sim_total_time(baseline, cost_model)
     if accel_time > 0:
         speedup = base_time / accel_time
     else:
@@ -137,7 +136,7 @@ def sweep(
     n_grid: list[int],
     k_grid: list[int],
     options: DecodeOptions,
-    cost_model: CostModel | None = None,
+    cost_model: CostModel = DEFAULT_COST_MODEL,
 ) -> SweepTable:
     """Decode `prompt` with the accelerated decoder at every (n, k) grid
     point, each decode on a fresh oracle from `new_oracle()`, against one
@@ -158,11 +157,10 @@ def sweep(
         replace(options, k_draft=k)
     if not prompt:
         raise ValueError("prompt must be non-empty")
-    cm = cost_model or DEFAULT_COST_MODEL
     base_opts = replace(options, n_max=n_grid[0], k_draft=k_grid[0])
     base = base_error = None
     try:
-        base = _decode_fresh(baseline_decode, new_oracle, prompt, base_opts, cm)
+        base = _decode_fresh(baseline_decode, new_oracle, prompt, base_opts, cost_model)
     except Exception as exc:  # noqa: BLE001 - recorded in every cell
         base_error = f"{type(exc).__name__}: {exc}"
     cells, errors = {}, {}
@@ -174,13 +172,13 @@ def sweep(
                 continue
             opts = replace(options, n_max=n, k_draft=k)
             try:
-                accel = _decode_fresh(speculative_decode, new_oracle, prompt, opts, cm)
+                accel = _decode_fresh(speculative_decode, new_oracle, prompt, opts, cost_model)
             except Exception as exc:  # noqa: BLE001 - recorded per cell
                 errors[f"n={n},k={k}"] = f"{type(exc).__name__}: {exc}"
                 continue
-            cells[n, k] = compute_metrics(accel, base, cm)
+            cells[n, k] = compute_metrics(accel, base, cost_model)
     config = {
-        "cost_model": asdict(cm),
+        "cost_model": asdict(cost_model),
         "n_grid": n_grid,
         "k_grid": k_grid,
         "prompt_len": len(prompt),

@@ -168,20 +168,17 @@ class MarkovOracle:
 
     Ties break to the smallest token id. Contexts never seen in the corpus
     map to a seeded-hash token, so different seeds explore different
-    trajectories while staying fully deterministic.
+    trajectories while staying fully deterministic. It has no eos.
     """
 
-    def __init__(self, corpus: list[int], order: int, seed: int, eos: int | None = None) -> None:
+    def __init__(self, corpus: list[int], order: int, seed: int) -> None:
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
         if len(corpus) <= order:
             raise ValueError(f"corpus of length {len(corpus)} too short for order {order}")
         self.order = order
-        self.seed = seed
-        self.eos = eos
+        self.eos = None
         self.vocab_size = max(corpus) + 1
-        if eos is not None:
-            self.vocab_size = max(self.vocab_size, eos + 1)
         self._seed_key = str(seed).encode("ascii")
         self._consumed: list[int] = []
         counts: dict[tuple[int, ...], dict[int, int]] = {}
@@ -259,7 +256,6 @@ class ExternalOracle:
             self._sock = socket.create_connection((host, port), timeout=_TIMEOUT_S)
         except OSError as exc:
             raise OracleConnectError(f"cannot connect to {endpoint}: {exc}") from exc
-        self.endpoint = endpoint
         self._consumed = 0
         self._at: int | None = None  # truncation the next extend carries
         try:

@@ -12,7 +12,9 @@ longer than MAX_LINE_BYTES gets an error reply and the connection is
 closed. At most MAX_CONNECTIONS connections are served at once; one over
 the cap gets an error line and is closed without a thread being started
 for it. A connection holds at most MAX_CONSUMED_TOKENS tokens: an `extend`
-that would take it past them gets an error reply and changes nothing.
+that would take it past them gets an error reply and changes nothing. A
+reply that cannot be sent within SEND_TIMEOUT_S, because the client reads
+none, drops the connection.
 
 A server answers two ops, `extend` and `info`. An `extend` may carry
 `"at": L`: the oracle is truncated to L consumed tokens and then extended,
@@ -29,13 +31,16 @@ from __future__ import annotations
 import json
 import logging
 import re
+import socket
 import socketserver
+import struct
 import threading
 from typing import Callable
 
 log = logging.getLogger("specdec.server")
 
-__all__ = ["OracleServer", "MAX_LINE_BYTES", "MAX_CONNECTIONS", "MAX_CONSUMED_TOKENS"]
+__all__ = ["OracleServer", "MAX_LINE_BYTES", "MAX_CONNECTIONS", "MAX_CONSUMED_TOKENS",
+           "SEND_TIMEOUT_S"]
 
 
 # Bounds a line in both directions: the server refuses a longer request and
@@ -59,6 +64,11 @@ MAX_CONNECTIONS = 64
 # 600-token prompt with 1,000 new tokens at k_draft 7 holds. Read when a
 # connection opens.
 MAX_CONSUMED_TOKENS = 1 << 16
+
+# Bounds one blocked send, so a client that never reads its replies cannot
+# hold a thread and a slot: SO_SNDTIMEO, as a Python timeout costs a poll per
+# call. `sendall` then raises BlockingIOError. Read when a connection opens.
+SEND_TIMEOUT_S = 10.0
 
 
 # The two hot lines, each written by one peer and read by the other without
@@ -159,11 +169,14 @@ def _extend(conn: _Connection, tokens: list[int], at: int | None) -> bytes:
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
-        """Serve one connection. A client that resets it or goes away
-        mid-reply ends it with one log line, not a traceback."""
+        """Serve one connection. A client that resets it, goes away
+        mid-reply or reads no reply for SEND_TIMEOUT_S ends it with one log
+        line, not a traceback."""
         peer = "%s:%s" % self.client_address[:2]
+        timeval = struct.pack("ll", int(SEND_TIMEOUT_S), int(SEND_TIMEOUT_S % 1 * 1e6))
         send = self.connection.sendall
         try:
+            self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
             try:
                 oracle = self.server.oracle_factory()  # type: ignore[attr-defined]
             except Exception as exc:  # noqa: BLE001 - blame the server, not the transport

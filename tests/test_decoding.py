@@ -23,9 +23,11 @@ from specdec.bundled import bundled_bytes
 from specdec.metrics import compute_metrics, sim_total_time
 from specdec.ngram import NgramStore
 from specdec.oracle import (
+    DEFAULT_COST_MODEL,
     CostModel,
     ExternalOracle,
     MarkovOracle,
+    OracleTransportError,
     ReplayOracle,
     simulate_cost,
 )
@@ -36,6 +38,16 @@ from conftest import greedy_markov_continuation
 
 EOS = 777
 FLAT = CostModel(prefill_per_token=0.0, verify_base=1.0, verify_per_token=0.0)
+
+
+def markov(corpus, order, seed, eos):
+    """A MarkovOracle that reports `eos` (None: no eos) as its end token,
+    with its vocabulary widened to hold it."""
+    oracle = MarkovOracle(corpus, order, seed)
+    if eos is not None:
+        oracle.eos = eos
+        oracle.vocab_size = max(oracle.vocab_size, eos + 1)
+    return oracle
 
 
 def replay(prompt, target):
@@ -84,6 +96,40 @@ def test_baseline_rejects_empty_prompt():
         baseline_decode(replay([1], [5]), [], DecodeOptions())
 
 
+def test_speculative_rejects_empty_prompt():
+    with pytest.raises(ValueError, match="prompt must be non-empty"):
+        speculative_decode(replay([1], [5]), [], DecodeOptions())
+
+
+class _FailingOracle:
+    """Predicts 1 everywhere and fails every extend after its first `ok`."""
+
+    eos = None
+
+    def __init__(self, ok):
+        self.ok = ok
+
+    def reset(self):
+        pass
+
+    def truncate_cache(self, length):
+        pass
+
+    def extend(self, tokens):
+        if self.ok == 0:
+            raise OracleTransportError("link down")
+        self.ok -= 1
+        return [1] * len(tokens)
+
+
+@pytest.mark.parametrize("decode", [baseline_decode, speculative_decode])
+@pytest.mark.parametrize("ok,where", [(0, "prefill"), (2, "step 1")])
+def test_an_oracle_error_keeps_its_type_and_names_where_it_happened(decode, ok, where):
+    with pytest.raises(OracleTransportError, match=f"^{where}: link down$") as raised:
+        decode(_FailingOracle(ok), [1, 2], DecodeOptions(max_new_tokens=8))
+    assert str(raised.value.__cause__) == "link down"
+
+
 # ---------------------------------------------------------------- build_draft
 
 
@@ -118,7 +164,7 @@ def test_build_draft_truncates_on_miss():
 
 def test_build_draft_fixed_level_only():
     store = NgramStore([1, 2], 3)  # only the bigram table has entries
-    assert build_draft(store, [5, 1], 2, fixed_level_only=True) == ([], [], 0)
+    assert build_draft(store, [5, 1], 2, min_level=3) == ([], [], 0)
     assert build_draft(store, [5, 1], 2)[0] == [2]
 
 
@@ -232,23 +278,19 @@ def test_cut_walk_is_the_uncut_draft_cut_by_the_reference(walk, cm):
 def test_verify_step_no_draft():
     o = replay([1, 2, 3], [5, 6])
     o.extend([1, 2, 3])
-    accepted, carried, preds = verify_step(o, 5, [])
-    assert (accepted, carried) == (0, 6)
-    assert preds == [6]
+    assert verify_step(o, 5, []) == (0, 6)
 
 
 def test_verify_step_full_acceptance_returns_bonus():
     o = replay([1], [5, 6, 7, 8])
     o.extend([1])
-    accepted, carried, _ = verify_step(o, 5, [6, 7])
-    assert (accepted, carried) == (2, 8)
+    assert verify_step(o, 5, [6, 7]) == (2, 8)
 
 
 def test_verify_step_mismatch_returns_correction():
     o = replay([1], [5, 6, 7, 8])
     o.extend([1])
-    accepted, carried, _ = verify_step(o, 5, [6, 9])
-    assert (accepted, carried) == (1, 7)
+    assert verify_step(o, 5, [6, 9]) == (1, 7)
 
 
 # ---------------------------------------------------------------- accelerated loop
@@ -365,7 +407,7 @@ def test_rollbacks_count_the_non_final_verify_steps_that_rejected(rng):
         opts = DecodeOptions(n_max=rng.randint(2, 5), k_draft=rng.randint(1, 7),
                              max_new_tokens=rng.randint(0, 80))
         eos = rng.choice([None, 5])  # a corpus token, so some decodes end at eos
-        oracle = _Spy(MarkovOracle(corpus, rng.randint(1, 3), rng.randrange(99), eos=eos))
+        oracle = _Spy(markov(corpus, rng.randint(1, 3), rng.randrange(99), eos))
         res = speculative_decode(oracle, prompt, opts)
         verifies = [s for s in res.steps if s.verify_batch_len]
         rejecting = sum(1 for s in verifies[:-1] if s.accepted_count < len(s.drafted))
@@ -393,7 +435,7 @@ def test_decoder_truncates_only_right_after_a_rejecting_verify(rng):
             order, seed = rng.randint(1, 3), rng.randrange(99)
             # the prompt runs on with the oracle's own output, so drafts are accepted
             prompt += greedy_markov_continuation(corpus, order, seed, prompt, 30)
-            inner = MarkovOracle(corpus, order, seed, eos=eos)
+            inner = markov(corpus, order, seed, eos)
         else:
             # the prompt repeated with noise, so drafts are accepted, eos among them
             script = [t if rng.random() < 0.8 else rng.randrange(vocab) for t in prompt * 10]
@@ -568,7 +610,7 @@ def test_step_log_reads_as_the_records_it_logged(seed, use_markov, budget, k_dra
     if use_markov:
         order = r.randint(1, 3)
         corpus = [r.randrange(vocab) for _ in range(r.randint(order + 1, 200))]
-        oracle = MarkovOracle(corpus, order, seed % 97, eos=r.choice([None, 0]))
+        oracle = markov(corpus, order, seed % 97, r.choice([None, 0]))
     else:
         oracle = replay(prompt, [r.randrange(vocab) for _ in range(r.randint(1, 150))])
     res = speculative_decode(oracle, prompt, opts, cm)
@@ -698,10 +740,10 @@ def _bundled_oracle(corpus, kind, prompt_len=200):
     prompt = ids[:prompt_len]
     if kind == "replay":
         return prompt, lambda: ReplayOracle(prompt, ids[prompt_len:], vocab.eos)
-    return prompt, lambda: MarkovOracle(ids, 3, 0, eos=vocab.eos)
+    return prompt, lambda: markov(ids, 3, 0, vocab.eos)
 
 
-def _steps_sha256(corpus, kind, cm=None):
+def _steps_sha256(corpus, kind, cm=DEFAULT_COST_MODEL):
     prompt, make = _bundled_oracle(corpus, kind)
     res = speculative_decode(make(), prompt, DecodeOptions(n_max=5, k_draft=7,
                                                            max_new_tokens=1000), cm)

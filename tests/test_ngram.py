@@ -278,9 +278,9 @@ def test_store_matches_reference_differential(script):
                 expected_hit = hit
         assert _first(store, tail, min_level=min_level) == expected_hit
         assert store.query_multilevel(tail, min_level=min_level) == expected_hit
-        for fixed in (False, True):
-            draft, levels, paid = build_draft(store, tail, k, fixed_level_only=fixed)
-            assert (draft, levels) == _chained_draft(ref, n_max, tail, k, n_max if fixed else 2)
+        for level in (2, n_max):
+            draft, levels, paid = build_draft(store, tail, k, min_level=level)
+            assert (draft, levels) == _chained_draft(ref, n_max, tail, k, level)
             assert paid == len(draft)  # without counts every token pays
     assert store.committed == committed
     ref = {n: _reference_rows(committed, n) for n in range(2, n_max + 1)}

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import json
 import logging
+import select
 import socket
 import struct
 import threading
@@ -529,6 +530,46 @@ def test_connections_over_the_cap_are_refused(monkeypatch):
                 break
             except OracleError:
                 assert time.monotonic() < deadline, "slot not freed after the first client closed"
+                time.sleep(0.01)
+        assert later.extend([1, 2, 3]) == MarkovOracle(corpus, order=2, seed=5).extend([1, 2, 3])
+        later.close()
+    finally:
+        server.shutdown()
+
+
+def test_a_client_that_reads_no_reply_is_dropped_and_its_slot_freed(monkeypatch, caplog):
+    monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 1)
+    monkeypatch.setattr(server_module, "SEND_TIMEOUT_S", 0.05)  # read when a connection opens
+    corpus = [i % 7 for i in range(50)]
+    server = OracleServer(lambda: MarkovOracle(corpus, order=2, seed=5))
+    server.start_background()
+    host, port = server.address.rsplit(":", 1)
+    try:
+        with caplog.at_level(logging.INFO, logger="specdec.server"), socket.socket() as flood:
+            flood.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)  # replies back up soon
+            flood.connect((host, int(port)))
+            flood.setblocking(False)
+            requests = b'{"op": "info"}\n' * 1000
+            # Send requests and read no reply until the server drops the
+            # connection, which a send then reports.
+            deadline = time.monotonic() + 10
+            while True:
+                assert time.monotonic() < deadline, "a client that reads nothing was never dropped"
+                try:
+                    flood.send(requests)
+                except BlockingIOError:
+                    select.select([], [flood], [], 0.05)
+                except (ConnectionResetError, BrokenPipeError):
+                    break
+            assert any("dropped" in r.getMessage() for r in caplog.records)
+        # the slot is free: a fresh client is served
+        deadline = time.monotonic() + 5
+        while True:
+            try:
+                later = ExternalOracle(server.address)
+                break
+            except OracleError:
+                assert time.monotonic() < deadline, "slot not freed after the client was dropped"
                 time.sleep(0.01)
         assert later.extend([1, 2, 3]) == MarkovOracle(corpus, order=2, seed=5).extend([1, 2, 3])
         later.close()

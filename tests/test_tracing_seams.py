@@ -3,9 +3,14 @@ wrapping specdec's entry points by name from outside the package. These
 tests fail when a change renames, removes or inlines one of them, which
 would otherwise break the traced run or leave its layers reading 0.
 `_align_oracle` runs only on rollback steps, the steps after a verify that
-rejected a drafted token, so the decode below must reject one."""
+rejected a drafted token, so the decode below must reject one.
+
+The untraced run drives specdec through the same workloads; a shortened
+run of each checks the rest of its contract with the package."""
 
 from pathlib import Path
+
+import pytest
 
 from specdec import decoding, ngram
 from specdec.decoding import DecodeOptions
@@ -35,3 +40,25 @@ def test_every_name_the_traced_run_wraps_resolves(monkeypatch):
     spans = {tracer.names[i] for i in tracer.name}
     assert {"decoding.speculative", "decoding.draft", "decoding.verify", "decoding.rollback",
             "ngram.init", "ngram.update", "oracle.build"} <= spans
+
+
+@pytest.mark.parametrize("name,max_new_tokens", [("decode-mixed", 2_000), ("tcp-shuffled", 300)])
+def test_each_workload_runs_two_checked_iterations_untraced(monkeypatch, name, max_new_tokens):
+    """`setup`, `prepare` and two iterations, one starting with each decode,
+    with no failed decode or check: the call counts of `CountingOracle`,
+    the fingerprint of the steps and `CallLog.sim_time` against
+    `compute_metrics` bit for bit."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    wl = workloads.WORKLOADS[name](seed=1)
+    wl.max_new_tokens = max_new_tokens
+    try:
+        wl.setup()
+        wl.prepare()
+        wl.iterate(0)
+        wl.iterate(1)
+    finally:
+        wl.close()
+    assert (wl.failed, wl.errors) == (0, [])
+    assert wl.ref is not None
