@@ -11,7 +11,9 @@ import argparse
 import json
 import logging
 import os
+import signal
 import sys
+import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
@@ -321,11 +323,19 @@ def cmd_serve_oracle(args: argparse.Namespace) -> int:
     new_oracle = _build_run(cfg)[1]
     new_oracle()  # a factory that cannot build fails here, not on every connection
     server = OracleServer(new_oracle, host=host, port=port)
-    print(f"serving {kind} oracle on {server.address}")
+    # SIGTERM, and a SIGINT ignored since start (as under `&`), stop it as
+    # Ctrl-C does. Only the main thread may set a handler.
+    stops = (signal.SIGINT, signal.SIGTERM)
+    in_main = threading.current_thread() is threading.main_thread()
+    previous = [signal.signal(s, signal.default_int_handler) for s in stops] if in_main else []
+    print(f"serving {kind} oracle on {server.address}", flush=True)  # a port 0 is read off it
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         server.shutdown()
+    finally:
+        for s, handler in zip(stops, previous):
+            signal.signal(s, handler)
     return EXIT_OK
 
 

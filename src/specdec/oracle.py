@@ -22,9 +22,12 @@ import hashlib
 import json
 import math
 import socket
+import time
 from dataclasses import dataclass, fields
 
-from .server import _EXTEND_AT_REQUEST, _EXTEND_REPLY_RE, _EXTEND_REQUEST, MAX_LINE_BYTES
+from .server import (
+    _EXTEND_AT_REQUEST, _EXTEND_REPLY_RE, _EXTEND_REQUEST, _RECV_BYTES, MAX_LINE_BYTES, _timeval,
+)
 
 __all__ = [
     "OracleError",
@@ -56,12 +59,10 @@ class OracleProtocolError(OracleError):
     """The remote peer violated the wire protocol."""
 
 
-# Seconds `ExternalOracle` waits to connect and for each reply.
+# Seconds `ExternalOracle` waits to connect, for one send or recv, and for
+# the rest of a reply line after its first segment. Read when a connection
+# opens and when a reply comes in more than one segment.
 _TIMEOUT_S = 10.0
-
-# A verify reply is some 60 bytes and a 600-token prefill's about 3 KB, so
-# one recv of this size almost always holds the whole reply line.
-_RECV_BYTES = 1 << 16
 
 
 def _is_finite_number(value) -> bool:
@@ -232,7 +233,13 @@ class ExternalOracle:
     """Client for the newline-delimited JSON oracle protocol.
 
     One request in flight per connection. Each request is one line written
-    with one `sendall`, and its reply line is read with `recv`. An `extend`
+    with one `sendall`, and its reply line is read with `recv`, one call
+    when the reply comes in one segment. The socket blocks, and the kernel
+    bounds each send and recv to `_TIMEOUT_S` (a Python timeout would poll
+    before every call); a reply not whole `_TIMEOUT_S` after its first
+    segment fails too. A socket error or timeout is an
+    `OracleTransportError` and closes the socket, as the stream is then
+    mid-request and cannot be resynced. An `extend`
     reply spelled exactly as `OracleServer` writes it, with one prediction
     per token sent, is read without json; any other goes through
     `_reply`'s checks. A reply line over `MAX_LINE_BYTES` is refused with
@@ -259,6 +266,10 @@ class ExternalOracle:
         self._consumed = 0
         self._at: int | None = None  # truncation the next extend carries
         try:
+            timeval = _timeval(_TIMEOUT_S)
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+            self._sock.settimeout(None)
             info = self._reply(self._exchange(b'{"op": "info"}\n'))
             vocab_size, eos = info.get("vocab_size"), info.get("eos")
             # type(), not isinstance(): JSON true and false load as bools, which are ints
@@ -278,7 +289,8 @@ class ExternalOracle:
         try:
             self._sock.sendall(line)
             return self._read_line()
-        except OSError as exc:
+        except OSError as exc:  # a timeout's EAGAIN included
+            self.close()
             raise OracleTransportError(
                 f"transport failure after {self._consumed} consumed tokens: {exc}"
             ) from exc
@@ -299,11 +311,14 @@ class ExternalOracle:
         """The reply line. One request is in flight, so its reply ends the
         bytes received: they are read up to the first chunk that holds a
         newline, and the reply's reader refuses any bytes after that
-        newline."""
+        newline. A reply still not whole `_TIMEOUT_S` after its first chunk
+        raises `TimeoutError`; only a reply in more than one chunk checks
+        the clock."""
         chunk = self._sock.recv(_RECV_BYTES)
         if chunk.endswith(b"\n"):
             return chunk  # the whole reply in one segment, the common case
         buf = bytearray(chunk)
+        deadline = time.monotonic() + _TIMEOUT_S
         while b"\n" not in chunk:
             if not chunk:
                 if buf:
@@ -311,6 +326,8 @@ class ExternalOracle:
                 raise OracleTransportError(
                     f"server closed the connection after {self._consumed} consumed tokens"
                 )
+            if time.monotonic() > deadline:
+                raise TimeoutError(f"reply line not whole after {_TIMEOUT_S} s")
             chunk = self._sock.recv(_RECV_BYTES)
             buf += chunk
             if len(buf) > MAX_LINE_BYTES:

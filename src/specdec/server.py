@@ -14,7 +14,8 @@ the cap gets an error line and is closed without a thread being started
 for it. A connection holds at most MAX_CONSUMED_TOKENS tokens: an `extend`
 that would take it past them gets an error reply and changes nothing. A
 reply that cannot be sent within SEND_TIMEOUT_S, because the client reads
-none, drops the connection.
+none, drops the connection, and so does a client that sends nothing for
+IDLE_TIMEOUT_S.
 
 A server answers two ops, `extend` and `info`. An `extend` may carry
 `"at": L`: the oracle is truncated to L consumed tokens and then extended,
@@ -40,7 +41,7 @@ from typing import Callable
 log = logging.getLogger("specdec.server")
 
 __all__ = ["OracleServer", "MAX_LINE_BYTES", "MAX_CONNECTIONS", "MAX_CONSUMED_TOKENS",
-           "SEND_TIMEOUT_S"]
+           "SEND_TIMEOUT_S", "IDLE_TIMEOUT_S"]
 
 
 # Bounds a line in both directions: the server refuses a longer request and
@@ -69,6 +70,20 @@ MAX_CONSUMED_TOKENS = 1 << 16
 # hold a thread and a slot: SO_SNDTIMEO, as a Python timeout costs a poll per
 # call. `sendall` then raises BlockingIOError. Read when a connection opens.
 SEND_TIMEOUT_S = 10.0
+
+# Bounds one wait for a request, so clients that connect and send nothing
+# cannot hold every slot: SO_RCVTIMEO, for the same reason. `recv` then
+# raises BlockingIOError. Read when a connection opens.
+IDLE_TIMEOUT_S = 60.0
+
+# Bytes asked of one recv. A verify line is some 60 bytes and a 600-token
+# prefill's about 3 KB, so one recv almost always holds a whole line.
+_RECV_BYTES = 1 << 16
+
+
+def _timeval(seconds: float) -> bytes:
+    """`seconds` as the struct timeval that SO_RCVTIMEO and SO_SNDTIMEO take."""
+    return struct.pack("ll", int(seconds), int(seconds % 1 * 1e6))
 
 
 # The two hot lines, each written by one peer and read by the other without
@@ -167,16 +182,17 @@ def _extend(conn: _Connection, tokens: list[int], at: int | None) -> bytes:
     return (_EXTEND_REPLY % ", ".join(map(repr, conn.oracle.extend(tokens)))).encode()
 
 
-class _Handler(socketserver.StreamRequestHandler):
+class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         """Serve one connection. A client that resets it, goes away
-        mid-reply or reads no reply for SEND_TIMEOUT_S ends it with one log
-        line, not a traceback."""
+        mid-reply, reads no reply for SEND_TIMEOUT_S or sends nothing for
+        IDLE_TIMEOUT_S ends it with one log line, not a traceback."""
         peer = "%s:%s" % self.client_address[:2]
-        timeval = struct.pack("ll", int(SEND_TIMEOUT_S), int(SEND_TIMEOUT_S % 1 * 1e6))
-        send = self.connection.sendall
+        sock = self.request
+        recv, send = sock.recv, sock.sendall
         try:
-            self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, _timeval(SEND_TIMEOUT_S))
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, _timeval(IDLE_TIMEOUT_S))
             try:
                 oracle = self.server.oracle_factory()  # type: ignore[attr-defined]
             except Exception as exc:  # noqa: BLE001 - blame the server, not the transport
@@ -186,14 +202,23 @@ class _Handler(socketserver.StreamRequestHandler):
                 return
             log.info("connection from %s", peer)
             conn = _Connection(oracle)
-            while True:
-                line = self.rfile.readline(MAX_LINE_BYTES + 1)
-                if not line:
-                    break
-                if len(line) > MAX_LINE_BYTES:
+            buf = bytearray()  # received bytes after the last newline
+            while chunk := recv(_RECV_BYTES):
+                if not buf and chunk.find(b"\n") == len(chunk) - 1 and len(chunk) <= MAX_LINE_BYTES:
+                    send(_handle_request(conn, chunk))  # one whole line, the common case
+                    continue
+                start, end = 0, len(buf)  # the bytes before `end` hold no newline
+                buf += chunk
+                # answer each line up to the last newline, or to one over the bound
+                while (end := buf.find(b"\n", end) + 1) and end - start <= MAX_LINE_BYTES:
+                    send(_handle_request(conn, bytes(buf[start:end])))
+                    start = end
+                del buf[:start]
+                if len(buf) > MAX_LINE_BYTES:
                     send(_line({"ok": False, "error": f"request line over {MAX_LINE_BYTES} bytes"}))
-                    break
-                send(_handle_request(conn, line))
+                    return
+            if buf:  # a last line with no newline before the client's EOF
+                send(_handle_request(conn, bytes(buf)))
         except OSError as exc:  # the oracle's errors are replies; this is the socket's
             log.info("connection from %s dropped: %s", peer, exc)
 

@@ -1,7 +1,12 @@
 import argparse
 import json
+import os
 import queue
+import select
 import shlex
+import signal
+import subprocess
+import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import fields
@@ -765,6 +770,31 @@ def test_serve_oracle_refuses_an_external_oracle(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "serve-oracle", "--config", cfg, "--listen", "127.0.0.1:0")
     assert (code, out) == (1, "")
     assert err == "error: oracle.kind must be replay or markov to serve, got 'external'\n"
+
+
+@pytest.mark.parametrize("signum, shell_prefix", [
+    (signal.SIGTERM, ""),
+    (signal.SIGINT, "trap '' INT; "),  # ignored from the start, as a job started with `&` is
+], ids=["SIGTERM", "SIGINT-ignored-at-start"])
+def test_serve_oracle_stops_cleanly_on_a_signal(signum, shell_prefix):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)  # the address line must reach a pipe unaided
+    command = shlex.join([sys.executable, "-m", "specdec.cli", "serve-oracle", "--config", DEMO,
+                          "--listen", "127.0.0.1:0"])
+    proc = subprocess.Popen(["sh", "-c", f"{shell_prefix}exec {command}"], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert select.select([proc.stdout], [], [], 10)[0], "no address line within 10 s"
+        assert proc.stdout.readline().startswith("serving replay oracle on 127.0.0.1:")
+        proc.send_signal(signum)
+        _, err = proc.communicate(timeout=10)
+        assert proc.returncode == 0, err
+        assert "Traceback" not in err
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
 
 
 def _readme_cli_examples() -> list[list[str]]:

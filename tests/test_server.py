@@ -1,7 +1,9 @@
 import contextlib
 import gc
+import io
 import json
 import logging
+import queue
 import select
 import socket
 import struct
@@ -10,6 +12,7 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -26,15 +29,19 @@ from specdec.oracle import (
 )
 from specdec.bundled import bundled_bytes
 from specdec.decoding import DecodeOptions, speculative_decode
+from specdec import oracle as oracle_module
 from specdec import server as server_module
 from specdec.server import (
     _EXTEND_REPLY,
     _EXTEND_REPLY_RE,
     _EXTEND_REQUEST_RE,
+    IDLE_TIMEOUT_S,
     MAX_LINE_BYTES,
+    SEND_TIMEOUT_S,
     OracleServer,
     _Connection,
     _handle_request,
+    _line,
 )
 from specdec.tokenizer import byte_vocab, encode
 
@@ -417,6 +424,40 @@ def test_over_long_reply_line_is_refused_and_the_socket_closed():
     remote.close()
 
 
+def test_a_reply_trickled_past_its_deadline_is_a_transport_error(monkeypatch):
+    # Each byte comes well within the per-recv bound; the reply as a whole does not.
+    monkeypatch.setattr(oracle_module, "_TIMEOUT_S", 0.05)
+    reply = json.dumps({"ok": True, "predictions": [1]}).encode() + b"\n"
+
+    def trickle(conn):
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with contextlib.suppress(OSError):  # the client closes mid-reply
+            for byte in reply:
+                conn.sendall(bytes([byte]))
+                time.sleep(0.02)
+
+    endpoint, _, client_closed = one_connection_server([INFO_LINE, trickle])
+    remote = ExternalOracle(endpoint)
+    started = time.monotonic()
+    with pytest.raises(OracleTransportError, match="^transport failure after 0 consumed tokens: "):
+        remote.extend([4])
+    assert time.monotonic() - started < len(reply) * 0.02 / 2  # cut well before the last byte
+    assert remote._sock.fileno() == -1  # mid-line: closed by the client itself
+    assert client_closed.wait(5)
+
+
+def test_a_silent_server_is_a_transport_error_naming_the_consumed_tokens(monkeypatch):
+    monkeypatch.setattr(oracle_module, "_TIMEOUT_S", 0.05)
+    answer = json.dumps({"ok": True, "predictions": [1, 2]}).encode() + b"\n"
+    endpoint, _, client_closed = one_connection_server([INFO_LINE, answer, lambda conn: None])
+    remote = ExternalOracle(endpoint)
+    assert remote.extend([4, 4]) == [1, 2]
+    with pytest.raises(OracleTransportError, match="^transport failure after 2 consumed tokens: "):
+        remote.extend([5])
+    assert remote._sock.fileno() == -1  # a reply may still come: closed, not read as the next one
+    assert client_closed.wait(5)
+
+
 @pytest.mark.parametrize("reply", [b'{"ok": true, "predictions": [true]}\n',
                                    b'{"ok": true, "predictions": ["1"]}\n',
                                    b'{"ok": true, "predictions": [1.0]}\n',
@@ -504,6 +545,100 @@ def test_over_long_request_line_is_refused_and_connection_closed(markov_server):
         assert f.readline() == b""  # closed
 
 
+class _SegmentedSocket:
+    """Stands in for an accepted socket: each recv returns the next of
+    `segments`, then EOF. Logs each recv, as "recv" or "eof", and each
+    reply sent."""
+
+    def __init__(self, segments) -> None:
+        self._segments = list(segments)
+        self.log = []
+
+    def setsockopt(self, level, option, value) -> None:
+        pass
+
+    def recv(self, size) -> bytes:
+        segment = self._segments.pop(0) if self._segments else b""
+        assert len(segment) <= size
+        self.log.append("recv" if segment else "eof")
+        return segment
+
+    def sendall(self, reply) -> None:
+        self.log.append(reply)
+
+
+def _served(segments):
+    """What `_Handler` does with `segments` received in that order on one
+    connection: the replies it sends, the reads it made after the last of
+    them, whether it read to EOF, and the probe of the oracle it leaves."""
+    sock, built = _SegmentedSocket(segments), []
+
+    def factory():
+        built.append(_oracle())
+        return built[0]
+
+    server_module._Handler(sock, ("127.0.0.1", 1), SimpleNamespace(oracle_factory=factory))
+    replies = [entry for entry in sock.log if entry not in ("recv", "eof")]
+    last = max((i for i, entry in enumerate(sock.log) if entry not in ("recv", "eof")), default=-1)
+    return replies, sock.log[last + 1:], "eof" in sock.log, _probe(built[0])
+
+
+def _readline_replies(stream):
+    """The reference replies to `stream`, and the probe of the oracle they
+    leave: each line taken as `readline(MAX_LINE_BYTES + 1)` takes it from a
+    buffered socket file, refusing and closing at a line over the bound."""
+    oracle, lines, replies, limit = _oracle(), io.BytesIO(stream), [], server_module.MAX_LINE_BYTES
+    conn = _Connection(oracle)
+    while line := lines.readline(limit + 1):
+        if len(line) > limit:
+            replies.append(_line({"ok": False, "error": f"request line over {limit} bytes"}))
+            break
+        replies.append(_handle_request(conn, line))
+    return replies, _probe(oracle)
+
+
+_REQUEST_LINE = (
+    st.lists(st.integers(0, 8), min_size=1, max_size=4).map(
+        lambda ids: json.dumps({"op": "extend", "tokens": ids}))
+    | st.tuples(st.lists(st.integers(0, 6), min_size=1, max_size=4), st.integers(0, 9)).map(
+        lambda t: json.dumps({"op": "extend", "tokens": t[0], "at": t[1]}))
+    | st.lists(st.integers(0, 6), min_size=1, max_size=4).map(
+        lambda ids: json.dumps({"op": "extend", "tokens": ids}, separators=(",", ":")))
+    | st.sampled_from(['{"op": "info"}', '{"op": "reset"}', "", " ", "[1, 2]"])
+).map(str.encode) | st.binary(max_size=12).map(lambda b: b.replace(b"\n", b""))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(_REQUEST_LINE, min_size=1, max_size=8),
+    ended=st.booleans(),
+    data=st.data(),
+)
+def test_request_lines_cut_anywhere_are_answered_as_one_line_per_segment(lines, ended, data):
+    # Several lines in one segment, a line split across segments and a last
+    # line with no newline before EOF are answered byte for byte as if each
+    # line came in its own segment; a line over the bound is refused, and
+    # the connection closed, at the same line as the readline reader did.
+    # A small bound sits at some line's length, give or take a byte.
+    near = sorted({len(line) + d for line in lines for d in (-1, 0, 1, 2)} - {-1, 0})
+    limit = data.draw(st.just(MAX_LINE_BYTES) | st.sampled_from(near))
+    stream = b"\n".join(lines) + (b"\n" if ended else b"")
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(stream) - 1), max_size=6))) if len(stream) > 1 else []
+    segments = [stream[i:j] for i, j in zip([0, *cuts], [*cuts, len(stream)])]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(server_module, "MAX_LINE_BYTES", limit)
+        served = _served(segments)
+        one_per_segment = _served(io.BytesIO(stream).readlines())
+        expected, expected_probe = _readline_replies(stream)
+    replies, after, eof, probe = served
+    assert (replies, probe) == (expected, expected_probe)
+    assert served == one_per_segment
+    if expected and expected[-1].startswith(b'{"ok": false, "error": "request line over'):
+        assert (after, eof) == ([], False)  # closed at the refusal: nothing read or sent after it
+    else:
+        assert eof  # read to the client's EOF
+
+
 def test_connections_over_the_cap_are_refused(monkeypatch):
     monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 1)
     corpus = [i % 7 for i in range(50)]
@@ -573,6 +708,61 @@ def test_a_client_that_reads_no_reply_is_dropped_and_its_slot_freed(monkeypatch,
                 time.sleep(0.01)
         assert later.extend([1, 2, 3]) == MarkovOracle(corpus, order=2, seed=5).extend([1, 2, 3])
         later.close()
+    finally:
+        server.shutdown()
+
+
+def test_a_client_that_sends_nothing_is_dropped_and_its_slot_freed(monkeypatch, caplog):
+    monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 1)
+    monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 0.05)  # read when a connection opens
+    corpus = [i % 7 for i in range(50)]
+    server = OracleServer(lambda: MarkovOracle(corpus, order=2, seed=5))
+    server.start_background()
+    host, port = server.address.rsplit(":", 1)
+    try:
+        with caplog.at_level(logging.INFO, logger="specdec.server"):
+            with socket.create_connection((host, int(port)), timeout=5) as idle:
+                assert idle.recv(1) == b""  # closed by the server, well within the 5 s
+            assert any("dropped" in r.getMessage() for r in caplog.records)
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", IDLE_TIMEOUT_S)  # no pause drops this one
+        deadline = time.monotonic() + 5
+        while True:
+            try:
+                later = ExternalOracle(server.address)
+                break
+            except OracleError:
+                assert time.monotonic() < deadline, "slot not freed after the idle client was dropped"
+                time.sleep(0.01)
+        assert later.extend([1, 2, 3]) == MarkovOracle(corpus, order=2, seed=5).extend([1, 2, 3])
+        later.close()
+    finally:
+        server.shutdown()
+
+
+def _socket_timeouts(sock):
+    """A socket's Python timeout, then its SO_RCVTIMEO and SO_SNDTIMEO in
+    seconds."""
+    def seconds(option):
+        size = struct.calcsize("ll")
+        sec, usec = struct.unpack("ll", sock.getsockopt(socket.SOL_SOCKET, option, size))
+        return sec + usec / 1e6
+
+    return sock.gettimeout(), seconds(socket.SO_RCVTIMEO), seconds(socket.SO_SNDTIMEO)
+
+
+def test_both_ends_block_with_kernel_timeouts_and_no_python_timeout(monkeypatch):
+    # A socket in Python timeout mode polls before every send and recv.
+    accepted = queue.Queue()
+    monkeypatch.setattr(server_module._Handler, "finish", lambda handler: accepted.put(
+        _socket_timeouts(handler.request)))  # runs before the socket is closed
+    server = OracleServer(lambda: MarkovOracle([i % 7 for i in range(50)], order=2, seed=5))
+    server.start_background()
+    try:
+        remote = ExternalOracle(server.address)
+        timeout = oracle_module._TIMEOUT_S
+        assert _socket_timeouts(remote._sock) == (None, timeout, timeout)
+        remote.close()
+        assert accepted.get(timeout=5) == (None, IDLE_TIMEOUT_S, SEND_TIMEOUT_S)
     finally:
         server.shutdown()
 
@@ -893,6 +1083,12 @@ class _ScriptedSocket:
     def recv(self, size) -> bytes:
         chunk, self._unread = self._unread[:size], self._unread[size:]
         return chunk
+
+    def settimeout(self, timeout) -> None:
+        pass
+
+    def setsockopt(self, level, option, value) -> None:
+        pass
 
     def close(self) -> None:
         pass
