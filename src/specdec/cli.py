@@ -324,17 +324,22 @@ def cmd_serve_oracle(args: argparse.Namespace) -> int:
     new_oracle()  # a factory that cannot build fails here, not on every connection
     server = OracleServer(new_oracle, host=host, port=port)
     # SIGTERM, and a SIGINT ignored since start (as under `&`), stop it as
-    # Ctrl-C does. Only the main thread may set a handler.
-    stops = (signal.SIGINT, signal.SIGTERM)
+    # Ctrl-C does, from the moment its handler is set; a further one while
+    # it shuts down is ignored. Only the main thread may set a handler.
     in_main = threading.current_thread() is threading.main_thread()
-    previous = [signal.signal(s, signal.default_int_handler) for s in stops] if in_main else []
-    print(f"serving {kind} oracle on {server.address}", flush=True)  # a port 0 is read off it
+    stops = (signal.SIGINT, signal.SIGTERM) if in_main else ()
+    previous = {}
     try:
+        for s in stops:
+            previous[s] = signal.signal(s, signal.default_int_handler)
+        print(f"serving {kind} oracle on {server.address}", flush=True)  # a port 0 is read off it
         server.serve_forever()
     except KeyboardInterrupt:
+        for s in stops:
+            signal.signal(s, signal.SIG_IGN)
         server.shutdown()
     finally:
-        for s, handler in zip(stops, previous):
+        for s, handler in previous.items():
             signal.signal(s, handler)
     return EXIT_OK
 

@@ -59,8 +59,9 @@ class OracleProtocolError(OracleError):
     """The remote peer violated the wire protocol."""
 
 
-# Seconds `ExternalOracle` waits to connect, for one send or recv, and for
-# the rest of a reply line after its first segment. Read when a connection
+# Seconds `ExternalOracle` waits to connect and for one send or recv; the
+# rest of a reply line after its first segment is not asked for past
+# _TIMEOUT_S, so it fails within 2 * _TIMEOUT_S. Read when a connection
 # opens and when a reply comes in more than one segment.
 _TIMEOUT_S = 10.0
 
@@ -236,8 +237,8 @@ class ExternalOracle:
     with one `sendall`, and its reply line is read with `recv`, one call
     when the reply comes in one segment. The socket blocks, and the kernel
     bounds each send and recv to `_TIMEOUT_S` (a Python timeout would poll
-    before every call); a reply not whole `_TIMEOUT_S` after its first
-    segment fails too. A socket error or timeout is an
+    before every call); a reply still not whole `_TIMEOUT_S` after its
+    first segment fails at its next recv, so within `2 * _TIMEOUT_S`. A socket error or timeout is an
     `OracleTransportError` and closes the socket, as the stream is then
     mid-request and cannot be resynced. An `extend`
     reply spelled exactly as `OracleServer` writes it, with one prediction
@@ -312,8 +313,10 @@ class ExternalOracle:
         bytes received: they are read up to the first chunk that holds a
         newline, and the reply's reader refuses any bytes after that
         newline. A reply still not whole `_TIMEOUT_S` after its first chunk
-        raises `TimeoutError`; only a reply in more than one chunk checks
-        the clock."""
+        raises `TimeoutError` instead of a further recv; as one recv may
+        block for `_TIMEOUT_S`, the rest of a reply fails within
+        `2 * _TIMEOUT_S`. Only a reply in more than one chunk checks the
+        clock."""
         chunk = self._sock.recv(_RECV_BYTES)
         if chunk.endswith(b"\n"):
             return chunk  # the whole reply in one segment, the common case

@@ -76,6 +76,12 @@ SEND_TIMEOUT_S = 10.0
 # raises BlockingIOError. Read when a connection opens.
 IDLE_TIMEOUT_S = 60.0
 
+# Seconds between the accept loop's checks for a shutdown request, and so
+# the most `OracleServer.shutdown` waits for the loop to end; socketserver's
+# default of 0.5 s made every shutdown take half a second. The loop costs
+# one wakeup per check.
+_POLL_S = 0.05
+
 # Bytes asked of one recv. A verify line is some 60 bytes and a 600-token
 # prefill's about 3 KB, so one recv almost always holds a whole line.
 _RECV_BYTES = 1 << 16
@@ -204,8 +210,11 @@ class _Handler(socketserver.BaseRequestHandler):
             conn = _Connection(oracle)
             buf = bytearray()  # received bytes after the last newline
             while chunk := recv(_RECV_BYTES):
+                # One whole line, the common case, is answered without a copy.
+                # The length check matters only for a MAX_LINE_BYTES set
+                # below _RECV_BYTES.
                 if not buf and chunk.find(b"\n") == len(chunk) - 1 and len(chunk) <= MAX_LINE_BYTES:
-                    send(_handle_request(conn, chunk))  # one whole line, the common case
+                    send(_handle_request(conn, chunk))
                     continue
                 start, end = 0, len(buf)  # the bytes before `end` hold no newline
                 buf += chunk
@@ -261,7 +270,9 @@ class OracleServer:
         self._server = _TCPServer((host, port), _Handler)
         self._server.oracle_factory = oracle_factory  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
-        self._served = False  # socketserver's shutdown waits for a serve_forever to end
+        # Whether a serve_forever runs or is about to: socketserver's shutdown
+        # waits for one to end, and one that never reached its loop never does.
+        self._serving = False
 
     @property
     def address(self) -> str:
@@ -270,17 +281,20 @@ class OracleServer:
 
     def serve_forever(self) -> None:
         log.info("listening on %s", self.address)
-        self._served = True
-        self._server.serve_forever()
+        try:
+            self._serving = True
+            self._server.serve_forever(_POLL_S)
+        finally:  # ended by shutdown, or by an exception such as KeyboardInterrupt
+            self._serving = False
 
     def start_background(self) -> None:
-        self._served = True
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._serving = True
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(_POLL_S,), daemon=True)
         self._thread.start()
 
     def shutdown(self) -> None:
-        """Stop serving, if it ever started, and close the listening socket."""
-        if self._served:
+        """Stop serving, if a serve_forever runs, and close the listening socket."""
+        if self._serving:
             self._server.shutdown()
         self._server.server_close()
         if self._thread is not None:

@@ -797,6 +797,42 @@ def test_serve_oracle_stops_cleanly_on_a_signal(signum, shell_prefix):
             proc.communicate()
 
 
+def test_serve_oracle_shuts_down_on_a_signal_before_serving_and_ignores_one_while_shutting_down(
+    capsys, monkeypatch
+):
+    # a SIGTERM while the address line is printed still goes to shutdown, and
+    # a second one during shutdown neither interrupts it nor escapes
+    import specdec.cli as cli_mod
+
+    def sigterm_self():
+        os.kill(os.getpid(), signal.SIGTERM)
+        for _ in range(1000):  # the handler runs between bytecodes
+            pass
+
+    interrupted, shut = [], []
+    real_shutdown = OracleServer.shutdown
+
+    def shutdown(server):
+        try:
+            sigterm_self()
+        except KeyboardInterrupt:
+            interrupted.append(True)
+        real_shutdown(server)
+        shut.append(server)
+
+    _never_serve(monkeypatch)
+    monkeypatch.setattr(cli_mod, "print", lambda *args, **kwargs: sigterm_self(), raising=False)
+    monkeypatch.setattr(OracleServer, "shutdown", shutdown)
+    handlers = [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)]
+    try:
+        code = main(["serve-oracle", "--config", DEMO, "--listen", "127.0.0.1:0"])
+    except KeyboardInterrupt:
+        pytest.fail("a signal before serving escaped serve-oracle")
+    assert (code, interrupted, len(shut)) == (0, [], 1)
+    assert shut[0]._server.socket.fileno() == -1  # the listening socket is closed
+    assert [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)] == handlers
+
+
 def _readme_cli_examples() -> list[list[str]]:
     """The argv of each `specdec` line in README's CLI block."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

@@ -980,6 +980,23 @@ def test_a_server_that_never_served_shuts_down_and_closes_its_socket():
     assert listening.fileno() == -1
 
 
+def test_a_serve_interrupted_before_its_loop_starts_shuts_down_without_waiting(monkeypatch):
+    # as a signal that lands between serve_forever's call and its loop
+    def interrupted(self, poll_interval=0.5):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(server_module._TCPServer, "serve_forever", interrupted)
+    server = OracleServer(lambda: MarkovOracle([i % 7 for i in range(50)], order=2, seed=5))
+    listening = server._server.socket
+    with pytest.raises(KeyboardInterrupt):
+        server.serve_forever()
+    stopper = threading.Thread(target=server.shutdown, daemon=True)
+    stopper.start()
+    stopper.join(timeout=5)  # a hang fails here instead of holding the suite
+    assert not stopper.is_alive(), "shutdown waited for a loop that never started"
+    assert listening.fileno() == -1
+
+
 def test_a_client_reset_is_one_log_line_and_the_next_connection_is_served(caplog, capfd):
     server = OracleServer(lambda: MarkovOracle([i % 7 for i in range(50)], order=2, seed=5))
     server.start_background()
